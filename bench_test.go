@@ -210,16 +210,20 @@ func BenchmarkClassifierInference(b *testing.B) {
 	}
 }
 
+// BenchmarkTuneQuery measures one query-level search. Like
+// benchTuneWorkload it rebuilds the what-if cache per iteration over a
+// shared optimizer, so every iteration pays for its probes rather than
+// replaying cache hits.
 func BenchmarkTuneQuery(b *testing.B) {
 	w := workload.TPCH("bench-tune", 5000, 7)
 	sys, err := aimai.Open(w, 7)
 	if err != nil {
 		b.Fatal(err)
 	}
-	tn := sys.NewTuner(nil, aimai.TunerOptions{})
 	q := w.Query("q3")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		tn := tuner.New(w.Schema, opt.NewWhatIf(sys.WhatIf.Opt), nil, tuner.Options{})
 		if _, err := tn.TuneQuery(context.Background(), q, nil); err != nil {
 			b.Fatal(err)
 		}

@@ -59,9 +59,15 @@ func printMetricsSummary() {
 		fmt.Printf("\nmetrics: access-path memo hits %.0f misses %.0f (entries %.0f)",
 			mh, mm, s.Gauges["opt.memo.entries"])
 	}
-	if jh, jm := s.Gauges["opt.jmemo.hit"], s.Gauges["opt.jmemo.miss"]; jh+jm > 0 {
-		fmt.Printf("\nmetrics: join-order memo hits %.0f misses %.0f (entries %.0f)",
-			jh, jm, s.Gauges["opt.jmemo.entries"])
+	// Greedy probes per step: each query-level step plans every eligible
+	// candidate once; a workload-level step re-plans only the queries on
+	// each candidate's table.
+	if h := s.Histograms["tuner.step.candidates"]; h.Count > 0 {
+		fmt.Printf("\nmetrics: query greedy steps %d, what-if calls %.0f (%.1f per step)", h.Count, h.Sum, h.Mean)
+	}
+	if gc, gm := s.Counters["tuner.greedy.whatif.calls"], s.Counters["tuner.greedy.whatif.misses"]; gc > 0 {
+		steps := s.Histograms["tuner.workload.step.candidates"].Count
+		fmt.Printf("\nmetrics: workload greedy steps %d, what-if calls %d, misses %d", steps, gc, gm)
 	}
 	if gen, drop := s.Counters["candidates.generated"], s.Counters["candidates.dropped"]; gen+drop > 0 {
 		fmt.Printf("\nmetrics: candidates generated %d, dropped by budgets %d", gen, drop)

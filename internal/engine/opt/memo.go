@@ -30,8 +30,8 @@ var (
 // configurations.
 const maxPathMemoEntries = 8192
 
-// memoEntry is one memoized planning result — an access path or a join
-// subtree — cloned out of the planner's arenas: the winning subPlan plus
+// memoEntry is one memoized access path, cloned out of the planner's
+// arenas: the winning subPlan plus
 // the cost.Args of every node in its subtree (preorder), so a hit can
 // re-register the args a later parallelize/cloneRecost pass needs. The
 // entry owns its tree; hits clone it back into the arena (cloneIn).
@@ -122,13 +122,11 @@ func (m *pathMemo) reset() {
 	mMemoEntries.Set(0)
 }
 
-// InvalidatePathMemo drops all memoized planning state — access paths and
-// join-order results. Swapping o.Stats or o.Model already invalidates both
-// implicitly (generation pointers); this is for callers that mutate either
-// in place.
+// InvalidatePathMemo drops all memoized access paths. Swapping o.Stats or
+// o.Model already invalidates the memo implicitly (generation pointers);
+// this is for callers that mutate either in place.
 func (o *Optimizer) InvalidatePathMemo() {
 	o.memo.reset()
-	o.jmemo.reset()
 }
 
 // PathMemoStats returns lifetime hit/miss counts and the current entry
@@ -145,8 +143,7 @@ func (o *Optimizer) PathMemoStats() (hits, misses uint64, entries int) {
 // order is preserved (selectivities multiply in predicate order, so order
 // is semantically significant for float reproducibility); columns and index
 // IDs arrive pre-sorted from ColumnsUsed/SortedIndexes. The separators
-// 0x1e/0x1f never appear in identifiers, and the join memo relies on 0x1d
-// being absent here when it concatenates these keys (joinmemo.go).
+// 0x1e/0x1f never appear in identifiers.
 func appendPathMemoKey(b []byte, table string, preds []query.Pred, need []string, ixs []*catalog.Index) []byte {
 	b = append(b, table...)
 	for _, pr := range preds {

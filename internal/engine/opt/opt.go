@@ -13,12 +13,12 @@
 // the estimate-vs-execution gap the paper's classifier learns to correct.
 //
 // Planning is the hot path of every what-if probe, so the implementation is
-// built around three reuse layers (DESIGN.md §12): per-query analysis is
-// cached by query identity (queryInfo), per-table access paths are memoized
-// across configurations (pathMemo), and join-order DP results are memoized
-// keyed by the access-path keys they consumed (joinMemo). All transient
-// planning state lives in per-planner arenas recycled through a sync.Pool;
-// returned plans are cloned out and never alias pooled memory.
+// built around two reuse layers (DESIGN.md §12): per-query analysis is
+// cached by query identity (queryInfo), and per-table access paths are
+// memoized across configurations (pathMemo). Join ordering runs the dense
+// DP afresh on every call. All transient planning state lives in
+// per-planner arenas recycled through a sync.Pool; returned plans are
+// cloned out and never alias pooled memory.
 package opt
 
 import (
@@ -55,10 +55,6 @@ type Optimizer struct {
 	// memo.go). The zero value is ready; swapping Stats or Model
 	// invalidates it automatically.
 	memo pathMemo
-	// jmemo caches join-order results keyed by the access-path memo keys
-	// they consumed (see joinmemo.go), so a configuration change on one
-	// table only replans the table subsets that touch it.
-	jmemo joinMemo
 
 	// qinfo caches per-query analysis (validation, table ordinals,
 	// per-table predicates and columns, join bitmasks) by query identity.
@@ -166,14 +162,13 @@ type planner struct {
 	// plan.Node.Scratch; parallelize/cloneRecost recost from it.
 	args []cost.Args
 
-	ixsOn   [][]*catalog.Index // indexes of cfg per table ordinal
-	keyBufs [][]byte           // per-table access-path memo keys
-	setKey  []byte             // scratch for join-memo subset keys
-	base    []*subPlan
-	dp      []*subPlan // dense DP table indexed by table bitmask
-	jscr    []joinRef  // joinsBetween scratch
-	cands   []*subPlan // bestAccessPath candidate scratch
-	gpool   []*subPlan // greedyJoin scratch
+	ixsOn  [][]*catalog.Index // indexes of cfg per table ordinal
+	keyBuf []byte             // access-path memo key scratch
+	base   []*subPlan
+	dp     []*subPlan // dense DP table indexed by table bitmask
+	jscr   []joinRef  // joinsBetween scratch
+	cands  []*subPlan // bestAccessPath candidate scratch
+	gpool  []*subPlan // greedyJoin scratch
 }
 
 func (o *Optimizer) getPlanner(q *query.Query, qi *queryInfo, cfg *catalog.Configuration) *planner {
@@ -185,9 +180,6 @@ func (o *Optimizer) getPlanner(q *query.Query, qi *queryInfo, cfg *catalog.Confi
 	nt := len(q.Tables)
 	for len(p.ixsOn) < nt {
 		p.ixsOn = append(p.ixsOn, nil)
-	}
-	for len(p.keyBufs) < nt {
-		p.keyBufs = append(p.keyBufs, nil)
 	}
 	for i := 0; i < nt; i++ {
 		p.ixsOn[i] = p.ixsOn[i][:0]
@@ -247,39 +239,28 @@ func (o *Optimizer) Optimize(q *query.Query, cfg *catalog.Configuration) (*plan.
 	pl, err := p.optimize()
 	o.putPlanner(p)
 	o.memo.flushObs()
-	o.jmemo.flushObs()
 	return pl, err
 }
 
 func (p *planner) optimize() (*plan.Plan, error) {
 	o, q := p.o, p.q
 
-	// Phase 1: best access path per table. Each path's memo key is kept in
-	// p.keyBufs[i]; join-memo subset keys are concatenations of them.
+	// Phase 1: best access path per table.
 	base := p.base[:0]
 	for i := range q.Tables {
 		base = append(base, p.bestAccessPath(i))
 	}
 	p.base = base
 
-	// Phase 2: join ordering. The full table set is probed in the join
-	// memo first: when no table's access path changed since a previous
-	// plan of this query, the whole join order is reused.
+	// Phase 2: join ordering.
 	var joined *subPlan
-	if len(base) == 1 {
+	switch {
+	case len(base) == 1:
 		joined = base[0]
-	} else {
-		full := uint64(1)<<uint(len(base)) - 1
-		if e, ok := p.joinMemoLookup(full); ok {
-			if e.sp.node != nil {
-				joined = p.instantiateJoin(e, full)
-			}
-		} else if len(base) <= o.DPTableLimit {
-			joined = p.dpJoin(base)
-		} else {
-			joined = p.greedyJoin(base)
-			p.joinMemoStore(full, joined)
-		}
+	case len(base) <= o.DPTableLimit:
+		joined = p.dpJoin(base)
+	default:
+		joined = p.greedyJoin(base)
 	}
 	if joined == nil {
 		return nil, fmt.Errorf("opt: no join order found for query %s", q.Name)
@@ -372,8 +353,8 @@ func (p *planner) bestAccessPath(ti int) *subPlan {
 	need := p.qi.colsUsed[ti]
 	mask := uint64(1) << uint(ti)
 	ixs := p.ixsOn[ti]
-	p.keyBufs[ti] = appendPathMemoKey(p.keyBufs[ti][:0], table, preds, need, ixs)
-	key := p.keyBufs[ti]
+	p.keyBuf = appendPathMemoKey(p.keyBuf[:0], table, preds, need, ixs)
+	key := p.keyBuf
 	if e := p.o.memo.lookup(key, p.o.Stats, p.o.Model); e != nil {
 		return p.instantiate(e, mask)
 	}
@@ -760,8 +741,7 @@ func (p *planner) indexNLJ(outer, inner *subPlan, joins []joinRef, outRows, widt
 // connected table subsets. The DP table is a dense slice indexed by table
 // bitmask; sets are visited in ascending numeric order, which is equivalent
 // to the classic by-size order because every strict subset of a set is
-// numerically smaller. Each non-trivial subset is memoized in the join memo
-// under the access-path keys it consumed (joinmemo.go).
+// numerically smaller.
 func (p *planner) dpJoin(base []*subPlan) *subPlan {
 	n := len(base)
 	full := uint64(1)<<uint(n) - 1
@@ -779,14 +759,6 @@ func (p *planner) dpJoin(base []*subPlan) *subPlan {
 		if set&(set-1) == 0 {
 			continue // single table: already seeded
 		}
-		if set != full { // the caller already probed the full set
-			if e, ok := p.joinMemoLookup(set); ok {
-				if e.sp.node != nil {
-					dp[set] = p.instantiateJoin(e, set)
-				}
-				continue
-			}
-		}
 		// Split set into (sub, set^sub) pairs.
 		for sub := (set - 1) & set; sub > 0; sub = (sub - 1) & set {
 			other := set ^ sub
@@ -803,7 +775,6 @@ func (p *planner) dpJoin(base []*subPlan) *subPlan {
 				}
 			}
 		}
-		p.joinMemoStore(set, dp[set])
 	}
 	return dp[full]
 }

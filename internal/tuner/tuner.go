@@ -37,14 +37,17 @@ import (
 )
 
 // Pre-resolved metric handles (see DESIGN.md §7). Gate counters tally the
-// comparator's verdicts at the no-regression gate; pool metrics expose how
-// often fan-outs actually got extra workers versus degrading to the caller.
+// comparator's verdicts at the no-regression gate; the greedy counters tally
+// phase (b)'s what-if calls and cache misses; pool metrics expose how often
+// fan-outs actually got extra workers versus degrading to the caller.
 var (
 	mGateRegression = obs.C("tuner.gate.regression")
 	mGateImprove    = obs.C("tuner.gate.improvement")
 	mGateUnsure     = obs.C("tuner.gate.unsure")
 	mStepCands      = obs.H("tuner.step.candidates")
 	mWStepCands     = obs.H("tuner.workload.step.candidates")
+	mGreedyCalls    = obs.C("tuner.greedy.whatif.calls")
+	mGreedyMisses   = obs.C("tuner.greedy.whatif.misses")
 	mWinnerMargin   = obs.H("tuner.winner.margin")
 	mPoolSpawned    = obs.C("tuner.pool.spawned")
 	mPoolInline     = obs.C("tuner.pool.inline")
@@ -486,63 +489,75 @@ type WorkloadRecommendation struct {
 	EstCost float64
 }
 
-// workloadCost computes the weighted estimated cost of a workload under a
-// configuration, also checking the per-query no-regression gate against
-// the initial plans. ok is false when some query is predicted to regress.
-// The per-query plans are probed in parallel; the gate and the weighted
-// sum run serially in query order, so the result (including float
-// summation order) matches the serial computation exactly.
-func (t *Tuner) workloadCost(ctx context.Context, qs []*query.Query, initPlans []*plan.Plan, cfg *catalog.Configuration) (float64, bool, error) {
-	plans := make([]*plan.Plan, len(qs))
-	errs := make([]error, len(qs))
-	t.parallelFor(len(qs), func(i int) {
-		if errs[i] = ctx.Err(); errs[i] != nil {
+// workloadCost computes the weighted estimated cost of a workload under
+// cfg, where cfg differs from the configuration behind curPlans only by
+// indexes on tables that the queries at touched (ascending) reference. Only
+// those queries are re-planned and re-gated against their initial plans;
+// every other query keeps its plan from curPlans. That is exact, not an
+// approximation: the optimizer ignores indexes on tables a query does not
+// reference, so an untouched query's plan under cfg carries the same
+// estimates as its plan in curPlans, and the gate — a pure function of the
+// plan pair — already accepted that plan. ok is false when some touched
+// query is predicted to regress. The touched plans are probed in parallel;
+// the gate and the weighted sum run serially in query order, so the result
+// (including float summation order) matches re-planning every query. On
+// success the returned slice holds every query's plan under cfg.
+func (t *Tuner) workloadCost(ctx context.Context, qs []*query.Query, initPlans, curPlans []*plan.Plan, touched []int, cfg *catalog.Configuration) ([]*plan.Plan, float64, bool, error) {
+	plans := append([]*plan.Plan(nil), curPlans...)
+	errs := make([]error, len(touched))
+	t.parallelFor(len(touched), func(k int) {
+		i := touched[k]
+		if errs[k] = ctx.Err(); errs[k] != nil {
 			return
 		}
-		plans[i], errs[i] = t.WhatIf.Plan(qs[i], cfg)
+		plans[i], errs[k] = t.WhatIf.Plan(qs[i], cfg)
 	})
-	// With a batching comparator and no probe errors, run all per-query
-	// gate comparisons as one inference batch. Verdicts are tallied in
-	// query order below, stopping at the first regression, so the counters
-	// match the serial path exactly (later verdicts stay untallied).
+	// With a batching comparator and no probe errors, run all touched
+	// queries' gate comparisons as one inference batch. Verdicts are tallied
+	// in query order below, stopping at the first regression, so the
+	// counters match the serial path exactly (later verdicts stay
+	// untallied).
 	var verdicts []expdata.Label
 	if t.Cmp != nil && !anyErr(errs) {
-		if bc, ok := t.Cmp.(models.BatchComparator); ok && len(qs) >= 2 {
-			pairs := make([]models.PlanPair, len(qs))
-			for i := range qs {
-				pairs[i] = models.PlanPair{P1: initPlans[i], P2: plans[i]}
+		if bc, ok := t.Cmp.(models.BatchComparator); ok && len(touched) >= 2 {
+			pairs := make([]models.PlanPair, len(touched))
+			for k, i := range touched {
+				pairs[k] = models.PlanPair{P1: initPlans[i], P2: plans[i]}
 			}
 			verdicts = bc.CompareBatch(pairs, nil)
 		}
 	}
-	var total float64
-	for i, q := range qs {
-		if errs[i] != nil {
-			return 0, false, errs[i]
+	for k, i := range touched {
+		if errs[k] != nil {
+			return nil, 0, false, errs[k]
 		}
 		var accepted bool
 		if verdicts != nil {
-			accepted = gateVerdict(verdicts[i])
+			accepted = gateVerdict(verdicts[k])
 		} else {
 			accepted = t.acceptNoRegression(initPlans[i], plans[i])
 		}
 		if !accepted {
-			return 0, false, nil
+			return nil, 0, false, nil
 		}
+	}
+	var total float64
+	for i, q := range qs {
 		w := q.Weight
 		if w <= 0 {
 			w = 1
 		}
 		total += w * plans[i].EstTotalCost
 	}
-	return total, true, nil
+	return plans, total, true, nil
 }
 
 // TuneWorkload runs the two-phase search of §5: query-level search derives
 // the candidate index pool; a greedy enumeration assembles the workload
 // configuration under the constraints. Phase (a) tunes the queries in
 // parallel; phase (b) evaluates the pool candidates of each greedy step in
-// parallel. Both phases pick winners by fixed order-based rules, so the
+// parallel, each re-planning only the queries that reference its table.
+// Both phases pick winners by fixed order-based rules, so the
 // recommendation is identical at any Parallelism. ctx cancels both phases.
 func (t *Tuner) TuneWorkload(ctx context.Context, qs []*query.Query, c0 *catalog.Configuration) (*WorkloadRecommendation, error) {
 	sp := obs.StartSpan("tuner.workload")
@@ -593,9 +608,22 @@ func (t *Tuner) TuneWorkload(ctx context.Context, qs []*query.Query, c0 *catalog
 			}
 		}
 	}
-	// Phase (b): greedy assembly.
+	// Phase (b): greedy assembly over cur's per-query plans. touches maps
+	// each table to the (deduplicated, ascending) indexes of the queries
+	// referencing it: the only queries an index on that table can re-plan.
+	touches := map[string][]int{}
+	all := make([]int, len(qs))
+	for i, q := range qs {
+		all[i] = i
+		for _, tb := range q.Tables {
+			if idx := touches[tb]; len(idx) == 0 || idx[len(idx)-1] != i {
+				touches[tb] = append(idx, i)
+			}
+		}
+	}
+	calls0, hits0 := t.WhatIf.Stats()
 	cur := c0
-	curCost, ok, err := t.workloadCost(ctx, qs, initPlans, c0)
+	curPlans, curCost, ok, err := t.workloadCost(ctx, qs, initPlans, initPlans, all, c0)
 	if err != nil {
 		return nil, err
 	}
@@ -608,10 +636,12 @@ func (t *Tuner) TuneWorkload(ctx context.Context, qs []*query.Query, c0 *catalog
 			return nil, err
 		}
 		type poolProbe struct {
-			cfg  *catalog.Configuration
-			cost float64
-			ok   bool
-			err  error
+			cfg     *catalog.Configuration
+			touched []int
+			plans   []*plan.Plan
+			cost    float64
+			ok      bool
+			err     error
 		}
 		probes := make([]*poolProbe, 0, len(pool))
 		for _, ix := range pool {
@@ -622,30 +652,35 @@ func (t *Tuner) TuneWorkload(ctx context.Context, qs []*query.Query, c0 *catalog
 			if !t.allowedByBudget(c0, cfg) {
 				continue
 			}
-			probes = append(probes, &poolProbe{cfg: cfg})
+			probes = append(probes, &poolProbe{cfg: cfg, touched: touches[ix.Table]})
 		}
 		mWStepCands.Observe(float64(len(probes)))
 		t.parallelFor(len(probes), func(i int) {
 			pr := probes[i]
-			pr.cost, pr.ok, pr.err = t.workloadCost(ctx, qs, initPlans, pr.cfg)
+			pr.plans, pr.cost, pr.ok, pr.err = t.workloadCost(ctx, qs, initPlans, curPlans, pr.touched, pr.cfg)
 		})
 		// First candidate at the strictly lowest cost wins, as in the
 		// serial enumeration.
-		var stepCfg *catalog.Configuration
+		var step *poolProbe
 		stepCost := curCost
 		for _, pr := range probes {
 			if pr.err != nil {
 				return nil, pr.err
 			}
 			if pr.ok && pr.cost < stepCost {
-				stepCfg, stepCost = pr.cfg, pr.cost
+				step, stepCost = pr, pr.cost
 			}
 		}
-		if stepCfg == nil {
+		if step == nil {
 			break
 		}
-		cur, curCost = stepCfg, stepCost
+		cur, curPlans, curCost = step.cfg, step.plans, step.cost
 	}
+	// What-if traffic of the phase, read off the facade (a concurrent user
+	// of the same facade is attributed here too).
+	calls1, hits1 := t.WhatIf.Stats()
+	mGreedyCalls.Add(int64(calls1 - calls0))
+	mGreedyMisses.Add(int64(calls1 - hits1 - (calls0 - hits0)))
 	if t.Opts.MinEstImprovement > 0 {
 		base := math.Max(1e-9, baseCost)
 		if 1-curCost/base < t.Opts.MinEstImprovement {
