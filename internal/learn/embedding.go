@@ -120,7 +120,7 @@ func (l *Loop) promoteEncoder(rep *CycleReport, set *LabeledSet, cycleSeed int64
 		rep.Reason += "; encoder: " + err.Error()
 		return
 	}
-	ev, err := l.reg.AddAndActivateEncoder(blob.Bytes())
+	ev, err := l.reg.Encoders.AddAndActivate(blob.Bytes())
 	if err != nil {
 		rep.Reason += "; encoder: " + err.Error()
 		return
@@ -139,7 +139,7 @@ func (l *Loop) promoteEncoder(rep *CycleReport, set *LabeledSet, cycleSeed int64
 	l.embedRef = ref
 	l.mu.Unlock()
 	if l.keep > 0 {
-		if _, err := l.reg.PruneEncoders(l.keep); err != nil {
+		if _, err := l.reg.Encoders.Prune(l.keep); err != nil {
 			rep.Reason += "; encoder prune: " + err.Error()
 		}
 	}
@@ -162,13 +162,13 @@ type EmbeddingStatus struct {
 // ErrNoEncoder until a promotion has trained one, and an error when the
 // current telemetry window has no usable records to embed.
 func (l *Loop) Embedding() (*EmbeddingStatus, error) {
-	ev := l.reg.ActiveEncoder()
+	ev := l.reg.Encoders.Active()
 	if ev == nil {
 		return nil, ErrNoEncoder
 	}
 	recs, _ := l.source()
 	set := Compact(recs, l.f, l.opts)
-	cur := ev.Enc.Workload(planSamples(set))
+	cur := ev.Value.Workload(planSamples(set))
 	if cur == nil {
 		return nil, fmt.Errorf("learn: no usable telemetry to embed (%d records seen)", len(recs))
 	}

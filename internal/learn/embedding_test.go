@@ -101,7 +101,7 @@ func TestLoopEmbedDrift(t *testing.T) {
 	if rep.Decision != DecisionPromoted || rep.EncoderVersion != 1 {
 		t.Fatalf("cycle 1 = %s (%s), encoder v%d; want promoted with encoder v1", rep.Decision, rep.Reason, rep.EncoderVersion)
 	}
-	if reg.ActiveEncoder() == nil || reg.ActiveEncoder().ID != 1 {
+	if reg.Encoders.Active() == nil || reg.Encoders.Active().ID != 1 {
 		t.Fatal("promotion did not activate an encoder")
 	}
 	st, err := loop.Embedding()

@@ -244,7 +244,7 @@ func (l *Loop) Status() Status {
 		m := *l.monitor
 		st.Monitoring = &m
 	}
-	if v := l.reg.Active(); v != nil {
+	if v := l.reg.Models.Active(); v != nil {
 		st.ActiveModel = v.ID
 	}
 	return st
@@ -332,16 +332,16 @@ func (l *Loop) dueTrigger() string {
 	}
 	var enc *embed.Encoder
 	if l.opts.embedMode() {
-		if ev := l.reg.ActiveEncoder(); ev != nil {
-			enc = ev.Enc
+		if ev := l.reg.Encoders.Active(); ev != nil {
+			enc = ev.Value
 		}
 	}
 	dist, distOK := embedDistance(enc, embedRef, set)
 	if fired, trigger := driftVerdict(l.opts, zScore, ref != nil, dist, distOK); fired {
 		return trigger
 	}
-	if v := l.reg.Active(); v != nil && v.Clf.Feat.ConfigEqual(l.f) && len(set.X) >= l.opts.MinEvalPairs {
-		if evalVectors(v.Clf, set.X, set.Y).Accuracy < l.opts.AccuracyFloor {
+	if v := l.reg.Models.Active(); v != nil && v.Value.Feat.ConfigEqual(l.f) && len(set.X) >= l.opts.MinEvalPairs {
+		if evalVectors(v.Value, set.X, set.Y).Accuracy < l.opts.AccuracyFloor {
 			return "accuracy"
 		}
 	}
@@ -357,7 +357,7 @@ func (l *Loop) runCycleLocked(ctx context.Context, trigger string) *CycleReport 
 	rep.Records = len(recs)
 	l.cycleBody(ctx, rep, recs, total)
 	rep.FinishedAt = time.Now()
-	if v := l.reg.Active(); v != nil {
+	if v := l.reg.Models.Active(); v != nil {
 		rep.ActiveVersion = v.ID
 	}
 	mCycles.Inc()
@@ -417,8 +417,8 @@ func (l *Loop) cycleBody(ctx context.Context, rep *CycleReport, recs []expdata.P
 	}
 	if o.embedMode() {
 		var enc *embed.Encoder
-		if ev := l.reg.ActiveEncoder(); ev != nil {
-			enc = ev.Enc
+		if ev := l.reg.Encoders.Active(); ev != nil {
+			enc = ev.Value
 		}
 		if d, ok := embedDistance(enc, embedRef, set); ok {
 			rep.EmbedDrift = d
@@ -436,9 +436,9 @@ func (l *Loop) cycleBody(ctx context.Context, rep *CycleReport, recs []expdata.P
 
 	// Stages 2–4: split, train challenger, shadow-evaluate.
 	var champion *models.Classifier
-	active := l.reg.Active()
+	active := l.reg.Models.Active()
 	if active != nil {
-		champion = active.Clf
+		champion = active.Value
 	}
 	cycleSeed := l.seedForNextCycle()
 	res, err := shadowCycle(ctx, set, champion, l.f, o, l.trainFn, cycleSeed)
@@ -466,7 +466,7 @@ func (l *Loop) cycleBody(ctx context.Context, rep *CycleReport, recs []expdata.P
 		rep.Decision, rep.Reason = DecisionRejected, "serializing challenger: "+err.Error()
 		return
 	}
-	v, err := l.reg.AddAndActivate(blob.Bytes())
+	v, err := l.reg.Models.AddAndActivate(blob.Bytes())
 	if err != nil {
 		rep.Decision, rep.Reason = DecisionRejected, "admitting challenger: "+err.Error()
 		return
@@ -500,7 +500,7 @@ func (l *Loop) cycleBody(ctx context.Context, rep *CycleReport, recs []expdata.P
 		if active != nil {
 			pin = append(pin, active.ID)
 		}
-		if _, err := l.reg.Prune(l.keep, pin...); err != nil {
+		if _, err := l.reg.Models.Prune(l.keep, pin...); err != nil {
 			rep.Reason += "; prune: " + err.Error()
 		}
 	}
@@ -529,8 +529,8 @@ func (l *Loop) liveCheck(rep *CycleReport, recs []expdata.PlanRecord, total int6
 			mon.PromotedVersion, set.Stats.Pairs, l.opts.RollbackMinPairs)
 		return true
 	}
-	active := l.reg.Active()
-	if active == nil || active.ID != mon.PromotedVersion || !active.Clf.Feat.ConfigEqual(l.f) {
+	active := l.reg.Models.Active()
+	if active == nil || active.ID != mon.PromotedVersion || !active.Value.Feat.ConfigEqual(l.f) {
 		// The monitored version is no longer serving (manual upload or
 		// activation raced us): stand down.
 		l.mu.Lock()
@@ -538,11 +538,11 @@ func (l *Loop) liveCheck(rep *CycleReport, recs []expdata.PlanRecord, total int6
 		l.mu.Unlock()
 		return false
 	}
-	live := evalVectors(active.Clf, set.X, set.Y)
+	live := evalVectors(active.Value, set.X, set.Y)
 	rep.Live = live
 	mLiveAcc.Set(live.Accuracy)
 	if live.Accuracy < mon.ShadowAccuracy-l.opts.RollbackMargin {
-		if err := l.reg.Activate(mon.PriorVersion); err != nil {
+		if err := l.reg.Models.Activate(mon.PriorVersion); err != nil {
 			rep.Decision = DecisionRejected
 			rep.Reason = fmt.Sprintf("rollback of v%d failed: %v", mon.PromotedVersion, err)
 			return true

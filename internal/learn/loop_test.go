@@ -73,7 +73,7 @@ func TestLoopPromoteMonitorRollback(t *testing.T) {
 	if rep.Decision != DecisionPromoted {
 		t.Fatalf("cycle 1 = %s (%s), want promoted", rep.Decision, rep.Reason)
 	}
-	if rep.ChallengerVersion != 1 || reg.Active() == nil || reg.Active().ID != 1 {
+	if rep.ChallengerVersion != 1 || reg.Models.Active() == nil || reg.Models.Active().ID != 1 {
 		t.Fatalf("cycle 1 should activate v1 (report %+v)", rep)
 	}
 	if st := loop.Status(); st.Monitoring != nil {
@@ -127,7 +127,7 @@ func TestLoopPromoteMonitorRollback(t *testing.T) {
 	if rep.Live == nil || rep.Live.Accuracy >= st.Monitoring.ShadowAccuracy {
 		t.Fatalf("rollback must be driven by degraded live accuracy, got %+v", rep.Live)
 	}
-	if act := reg.Active(); act == nil || act.ID != 1 {
+	if act := reg.Models.Active(); act == nil || act.ID != 1 {
 		t.Fatalf("active after rollback = %v, want v1 restored", act)
 	}
 	final := loop.Status()
@@ -167,7 +167,7 @@ func TestLoopRejectsBadChallenger(t *testing.T) {
 	if rep.Decision != DecisionRejected {
 		t.Fatalf("decision = %s (%s), want the mislabeled challenger rejected", rep.Decision, rep.Reason)
 	}
-	if len(reg.List()) != 0 || reg.Active() != nil {
+	if len(reg.Models.List()) != 0 || reg.Models.Active() != nil {
 		t.Fatal("rejected challenger leaked into the registry")
 	}
 	if st := loop.Status(); st.Rejections != 1 {

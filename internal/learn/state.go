@@ -3,10 +3,10 @@ package learn
 import (
 	"encoding/json"
 	"os"
-	"path/filepath"
 	"time"
 
 	"repro/internal/embed"
+	"repro/internal/util"
 )
 
 // LoopState is the spillable in-memory state of a Loop: everything an
@@ -79,8 +79,8 @@ func (l *Loop) RestoreState(st *LoopState) {
 	l.monitor = st.Monitor
 }
 
-// SaveStateFile spills the loop's state to path atomically (temp file +
-// rename). An empty path is a no-op.
+// SaveStateFile spills the loop's state to path atomically
+// (util.WriteFileAtomic). An empty path is a no-op.
 func (l *Loop) SaveStateFile(path string) error {
 	if path == "" {
 		return nil
@@ -89,20 +89,7 @@ func (l *Loop) SaveStateFile(path string) error {
 	if err != nil {
 		return err
 	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".state-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return util.WriteFileAtomic(path, data)
 }
 
 // RestoreStateFile restores spilled state from path; a missing file is a

@@ -76,7 +76,7 @@ func TestLoopStateSpillRestore(t *testing.T) {
 	if rep.Decision != DecisionRolledBack {
 		t.Fatalf("post-restore cycle = %s (%s), want rolled_back", rep.Decision, rep.Reason)
 	}
-	if act := reg2.Active(); act == nil || act.ID != 1 {
+	if act := reg2.Models.Active(); act == nil || act.ID != 1 {
 		t.Fatalf("active after restored rollback = %+v, want v1", act)
 	}
 }

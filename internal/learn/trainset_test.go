@@ -159,12 +159,12 @@ func TestLoopTrainParallelismDeterministic(t *testing.T) {
 			}
 			reports = append(reports, normalizeReport(rep))
 		}
-		active := reg.Active()
+		active := reg.Models.Active()
 		if active == nil {
 			t.Fatal("lifecycle should end with an active model")
 		}
 		var blob bytes.Buffer
-		if err := models.SaveClassifier(active.Clf, &blob); err != nil {
+		if err := models.SaveClassifier(active.Value, &blob); err != nil {
 			t.Fatal(err)
 		}
 		return reports, blob.Bytes()

@@ -1,23 +1,39 @@
-// Package registry is the tuning service's versioned model store: uploaded
-// classifier blobs are validated, assigned monotonically increasing version
-// numbers, persisted to a directory (when one is configured), and activated
-// with an atomic hot-swap so concurrent inference never observes a
-// half-loaded model.
+// Package registry is the tuning service's versioned artifact store. One
+// generic Store holds validated blobs under monotonically increasing version
+// numbers, persists them to a directory (when one is configured), and
+// activates a version with an atomic hot-swap so concurrent readers never
+// observe a half-loaded artifact. A Registry is two instances of it sharing
+// one directory: Models (classifiers, admitted through
+// models.LoadClassifier) and Encoders (plan encoders, admitted through
+// embed.LoadEncoder). The instances differ only in blob suffix, pointer
+// file, and validator.
 //
-// On-disk layout (all writes go through temp-file + rename, so a crash
-// mid-write never corrupts the store):
+// On-disk layout:
 //
-//	<dir>/v0001.clf   classifier blob (models.SaveClassifier format)
+//	<dir>/v0001.clf        classifier blob (models.SaveClassifier format)
 //	<dir>/v0002.clf
-//	<dir>/CURRENT     the active version number in ASCII, e.g. "2\n"
+//	<dir>/CURRENT          the active classifier version in ASCII, e.g. "2\n"
+//	<dir>/v0001.enc        encoder blob (embed.SaveEncoder format)
+//	<dir>/CURRENT_ENC      the active encoder version in ASCII
+//	<dir>/workload.emb     the reference workload embedding (JSON)
+//	<dir>/provenance.json  warm-start provenance, written once when a tenant
+//	                       is seeded from another tenant's champion
 //
-// Reopening a directory restores every version and the CURRENT pointer, so
-// a restarted server resumes serving the same model.
+// The default tenant's learn loop also spills learn_state.json into this
+// directory (internal/learn writes it; Open ignores it). Every file is
+// written through util.WriteFileAtomic (temp file + rename in the same
+// directory), so a crash mid-write never leaves a torn blob or pointer.
+// Reopening a
+// directory restores every version and both pointers, so a restarted server
+// resumes serving the same classifier and encoder. Only canonical blob names
+// (v%04d plus the suffix) are versions; anything else in the directory is
+// ignored.
 package registry
 
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -27,21 +43,45 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/embed"
 	"repro/internal/models"
 	"repro/internal/obs"
+	"repro/internal/util"
 )
 
-// Registry metric handles: store occupancy (versions and bytes) and the
-// retention policy's activity (see DESIGN.md §11).
+// Registry metric handles: classifier-store occupancy (versions and bytes)
+// and the retention policy's activity (see DESIGN.md §11). The encoder
+// store does not publish them.
 var (
 	mRegVersions = obs.G("server.registry.versions")
 	mRegBytes    = obs.G("server.registry.store_bytes")
 	mRegPruned   = obs.C("server.registry.pruned")
 )
 
-// Version is one immutable registry entry: a validated classifier and its
+// kind is what tells the two store instances apart.
+type kind[T any] struct {
+	suffix  string                     // blob file suffix, as in v0001.clf
+	pointer string                     // file holding the active version id
+	noun    string                     // "model" or "encoder" in error texts
+	tag     string                     // prefix of version ids in error texts
+	decode  func(io.Reader) (T, error) // validator every blob is admitted through
+	metered bool                       // publish the server.registry.* metrics
+}
+
+var (
+	modelKind = kind[*models.Classifier]{
+		suffix: ".clf", pointer: "CURRENT", noun: "model", metered: true,
+		decode: models.LoadClassifier,
+	}
+	encoderKind = kind[*embed.Encoder]{
+		suffix: ".enc", pointer: "CURRENT_ENC", noun: "encoder", tag: "encoder ",
+		decode: embed.LoadEncoder,
+	}
+)
+
+// Version is one immutable store entry: a validated artifact and its
 // provenance.
-type Version struct {
+type Version[T any] struct {
 	// ID is the 1-based version number (v0001.clf has ID 1).
 	ID int
 	// Path is the blob location, empty for memory-only registries.
@@ -50,11 +90,11 @@ type Version struct {
 	Size int64
 	// AddedAt is the upload (or load-from-disk) time.
 	AddedAt time.Time
-	// Clf is the deserialized, ready-to-serve classifier.
-	Clf *models.Classifier
+	// Value is the deserialized, ready-to-serve artifact.
+	Value T
 }
 
-// Info is the JSON-friendly view of a Version (without the model itself).
+// Info is the JSON-friendly view of a Version (without the artifact itself).
 type Info struct {
 	ID      int       `json:"id"`
 	Size    int64     `json:"size"`
@@ -62,109 +102,133 @@ type Info struct {
 	Active  bool      `json:"active"`
 }
 
-// Registry is a concurrency-safe versioned model store. Reads of the
-// active model (the inference hot path) are a single atomic pointer load;
-// uploads and activations serialize on a mutex.
-type Registry struct {
+// Store is a concurrency-safe versioned artifact store. Reads of the active
+// version (the inference hot path) are a single atomic pointer load;
+// uploads, activations and prunes serialize on a mutex.
+type Store[T any] struct {
+	kind[T]
 	dir string
 
 	mu       sync.Mutex
-	versions []*Version
-	encoders []*EncoderVersion
+	versions []*Version[T]
+	active   atomic.Pointer[Version[T]]
+}
 
-	active    atomic.Pointer[Version]
-	activeEnc atomic.Pointer[EncoderVersion]
+// Registry is one directory's classifier and encoder stores plus the
+// workload-embedding and provenance files written beside them.
+type Registry struct {
+	Models   *Store[*models.Classifier]
+	Encoders *Store[*embed.Encoder]
+	dir      string
 }
 
 // Open opens (creating if needed) a registry rooted at dir. An empty dir
 // yields a memory-only registry: versions live for the process lifetime and
 // nothing is persisted. With a directory, existing versions are loaded and
-// the CURRENT pointer re-activated; a corrupt blob fails Open rather than
+// both pointers re-activated; a corrupt blob fails Open rather than
 // silently serving a partial store.
 func Open(dir string) (*Registry, error) {
-	r := &Registry{dir: dir}
-	if dir == "" {
-		return r, nil
+	r := &Registry{
+		Models:   &Store[*models.Classifier]{kind: modelKind, dir: dir},
+		Encoders: &Store[*embed.Encoder]{kind: encoderKind, dir: dir},
+		dir:      dir,
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("registry: creating %s: %w", dir, err)
+	if dir != "" {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return nil, fmt.Errorf("registry: creating %s: %w", dir, err)
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			return nil, fmt.Errorf("registry: reading %s: %w", dir, err)
+		}
+		if err := r.Models.load(entries); err != nil {
+			return nil, err
+		}
+		if err := r.Encoders.load(entries); err != nil {
+			return nil, err
+		}
+		r.Models.publish()
 	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("registry: reading %s: %w", dir, err)
-	}
+	return r, nil
+}
+
+func (k *kind[T]) blobName(id int) string {
+	return fmt.Sprintf("v%04d%s", id, k.suffix)
+}
+
+// load restores the store's versions and its pointer during Open
+// (single-threaded; no locking).
+func (s *Store[T]) load(entries []os.DirEntry) error {
 	var ids []int
 	for _, e := range entries {
 		name := e.Name()
-		if !strings.HasPrefix(name, "v") || !strings.HasSuffix(name, ".clf") {
+		if !strings.HasPrefix(name, "v") || !strings.HasSuffix(name, s.suffix) {
 			continue
 		}
-		id, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(name, "v"), ".clf"))
-		if err != nil || id <= 0 {
+		id, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(name, "v"), s.suffix))
+		// Only the canonical spelling is a version: v7.clf or v01.clf would
+		// otherwise alias v0007.clf or v0001.clf.
+		if err != nil || id <= 0 || name != s.blobName(id) {
 			continue
 		}
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
 	for _, id := range ids {
-		path := r.blobPath(id)
+		path := filepath.Join(s.dir, s.blobName(id))
 		data, err := os.ReadFile(path)
 		if err != nil {
-			return nil, fmt.Errorf("registry: reading %s: %w", path, err)
+			return fmt.Errorf("registry: reading %s: %w", path, err)
 		}
-		clf, err := models.LoadClassifier(bytes.NewReader(data))
+		val, err := s.decode(bytes.NewReader(data))
 		if err != nil {
-			return nil, fmt.Errorf("registry: loading %s: %w", path, err)
+			return fmt.Errorf("registry: loading %s: %w", path, err)
 		}
-		info, _ := os.Stat(path)
 		added := time.Now()
-		if info != nil {
+		if info, err := os.Stat(path); err == nil {
 			added = info.ModTime()
 		}
-		r.versions = append(r.versions, &Version{
-			ID: id, Path: path, Size: int64(len(data)), AddedAt: added, Clf: clf,
+		s.versions = append(s.versions, &Version[T]{
+			ID: id, Path: path, Size: int64(len(data)), AddedAt: added, Value: val,
 		})
 	}
-	cur, err := os.ReadFile(filepath.Join(dir, "CURRENT"))
-	if err == nil {
-		id, perr := strconv.Atoi(strings.TrimSpace(string(cur)))
-		if perr != nil {
-			return nil, fmt.Errorf("registry: corrupt CURRENT file: %q", cur)
-		}
-		v := r.find(id)
-		if v == nil {
-			return nil, fmt.Errorf("registry: CURRENT points at missing version %d", id)
-		}
-		r.active.Store(v)
-	} else if !os.IsNotExist(err) {
-		return nil, fmt.Errorf("registry: reading CURRENT: %w", err)
+	cur, err := os.ReadFile(filepath.Join(s.dir, s.pointer))
+	if os.IsNotExist(err) {
+		return nil
 	}
-	if err := r.loadEncoders(entries); err != nil {
-		return nil, err
+	if err != nil {
+		return fmt.Errorf("registry: reading %s: %w", s.pointer, err)
 	}
-	r.updateGauges()
-	return r, nil
+	id, err := strconv.Atoi(strings.TrimSpace(string(cur)))
+	if err != nil {
+		return fmt.Errorf("registry: corrupt %s file: %q", s.pointer, cur)
+	}
+	v := s.find(id)
+	if v == nil {
+		return fmt.Errorf("registry: %s points at missing %sversion %d", s.pointer, s.tag, id)
+	}
+	s.active.Store(v)
+	return nil
 }
 
-// updateGauges publishes the store's occupancy; callers hold r.mu (or run
-// during single-threaded Open).
-func (r *Registry) updateGauges() {
+// publish updates the occupancy gauges of a metered store; callers hold
+// s.mu (or run during single-threaded Open).
+func (s *Store[T]) publish() {
+	if !s.metered {
+		return
+	}
 	var bytes int64
-	for _, v := range r.versions {
+	for _, v := range s.versions {
 		bytes += v.Size
 	}
-	mRegVersions.Set(float64(len(r.versions)))
+	mRegVersions.Set(float64(len(s.versions)))
 	mRegBytes.Set(float64(bytes))
 }
 
-func (r *Registry) blobPath(id int) string {
-	return filepath.Join(r.dir, fmt.Sprintf("v%04d.clf", id))
-}
-
-// find returns the version with the given id; callers hold r.mu or run
+// find returns the version with the given id; callers hold s.mu or run
 // during single-threaded Open.
-func (r *Registry) find(id int) *Version {
-	for _, v := range r.versions {
+func (s *Store[T]) find(id int) *Version[T] {
+	for _, v := range s.versions {
 		if v.ID == id {
 			return v
 		}
@@ -172,30 +236,30 @@ func (r *Registry) find(id int) *Version {
 	return nil
 }
 
-// Add validates a classifier blob and stores it as the next version,
-// without activating it. The blob must round-trip through
-// models.LoadClassifier; anything else is rejected.
-func (r *Registry) Add(data []byte) (*Version, error) {
-	clf, err := models.LoadClassifier(bytes.NewReader(data))
+// Add validates a blob and stores it as the next version, without
+// activating it. The blob must round-trip through the store's validator;
+// anything else is rejected.
+func (s *Store[T]) Add(data []byte) (*Version[T], error) {
+	val, err := s.decode(bytes.NewReader(data))
 	if err != nil {
-		return nil, fmt.Errorf("registry: invalid model: %w", err)
+		return nil, fmt.Errorf("registry: invalid %s: %w", s.noun, err)
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	id := 1
-	if n := len(r.versions); n > 0 {
-		id = r.versions[n-1].ID + 1
+	if n := len(s.versions); n > 0 {
+		id = s.versions[n-1].ID + 1
 	}
-	v := &Version{ID: id, Size: int64(len(data)), AddedAt: time.Now(), Clf: clf}
-	if r.dir != "" {
-		path := r.blobPath(id)
-		if err := writeFileAtomic(path, data); err != nil {
-			return nil, err
+	v := &Version[T]{ID: id, Size: int64(len(data)), AddedAt: time.Now(), Value: val}
+	if s.dir != "" {
+		path := filepath.Join(s.dir, s.blobName(id))
+		if err := util.WriteFileAtomic(path, data); err != nil {
+			return nil, fmt.Errorf("registry: %w", err)
 		}
 		v.Path = path
 	}
-	r.versions = append(r.versions, v)
-	r.updateGauges()
+	s.versions = append(s.versions, v)
+	s.publish()
 	return v, nil
 }
 
@@ -205,31 +269,30 @@ func (r *Registry) Add(data []byte) (*Version, error) {
 // memory and, for persistent registries, deleted from disk. keep <= 0 keeps
 // everything. Returns the removed version ids in ascending order.
 //
-// A blob whose deletion fails stays in the store (and in the returned
-// error) rather than leaving memory and disk disagreeing.
-func (r *Registry) Prune(keep int, pin ...int) ([]int, error) {
+// The active version is read under the store mutex, so a concurrent
+// Activate of an old version can never have its blob pruned. A blob whose
+// deletion fails stays in the store (and in the returned error) rather than
+// leaving memory and disk disagreeing.
+func (s *Store[T]) Prune(keep int, pin ...int) ([]int, error) {
 	if keep <= 0 {
 		return nil, nil
 	}
-	act := r.Active()
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	protected := map[int]bool{}
-	if act != nil {
+	if act := s.active.Load(); act != nil {
 		protected[act.ID] = true
 	}
 	for _, id := range pin {
 		protected[id] = true
 	}
-	for i := len(r.versions) - keep; i < len(r.versions); i++ {
-		if i >= 0 {
-			protected[r.versions[i].ID] = true
-		}
+	for i := max(len(s.versions)-keep, 0); i < len(s.versions); i++ {
+		protected[s.versions[i].ID] = true
 	}
 	var removed []int
-	var kept []*Version
+	var kept []*Version[T]
 	var firstErr error
-	for _, v := range r.versions {
+	for _, v := range s.versions {
 		if protected[v.ID] {
 			kept = append(kept, v)
 			continue
@@ -237,7 +300,7 @@ func (r *Registry) Prune(keep int, pin ...int) ([]int, error) {
 		if v.Path != "" {
 			if err := os.Remove(v.Path); err != nil && !os.IsNotExist(err) {
 				if firstErr == nil {
-					firstErr = fmt.Errorf("registry: pruning v%04d: %w", v.ID, err)
+					firstErr = fmt.Errorf("registry: pruning %sv%04d: %w", s.tag, v.ID, err)
 				}
 				kept = append(kept, v)
 				continue
@@ -245,57 +308,59 @@ func (r *Registry) Prune(keep int, pin ...int) ([]int, error) {
 		}
 		removed = append(removed, v.ID)
 	}
-	r.versions = kept
-	mRegPruned.Add(int64(len(removed)))
-	r.updateGauges()
+	s.versions = kept
+	if s.metered {
+		mRegPruned.Add(int64(len(removed)))
+	}
+	s.publish()
 	return removed, firstErr
 }
 
-// Activate makes version id the serving model. The swap is atomic: readers
-// see either the previous fully-loaded model or the new one, never a
-// partial state. With a directory, the CURRENT pointer is durably updated
+// Activate makes version id the serving one. The swap is atomic: readers
+// see either the previous fully-loaded version or the new one, never a
+// partial state. With a directory, the pointer file is durably updated
 // (temp file + rename) before the in-memory swap.
-func (r *Registry) Activate(id int) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	v := r.find(id)
+func (s *Store[T]) Activate(id int) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	v := s.find(id)
 	if v == nil {
-		return fmt.Errorf("registry: unknown version %d", id)
+		return fmt.Errorf("registry: unknown %sversion %d", s.tag, id)
 	}
-	if r.dir != "" {
-		if err := writeFileAtomic(filepath.Join(r.dir, "CURRENT"), []byte(fmt.Sprintf("%d\n", id))); err != nil {
-			return err
+	if s.dir != "" {
+		if err := util.WriteFileAtomic(filepath.Join(s.dir, s.pointer), []byte(fmt.Sprintf("%d\n", id))); err != nil {
+			return fmt.Errorf("registry: %w", err)
 		}
 	}
-	r.active.Store(v)
+	s.active.Store(v)
 	return nil
 }
 
-// AddAndActivate stores a blob and immediately makes it the serving model.
-func (r *Registry) AddAndActivate(data []byte) (*Version, error) {
-	v, err := r.Add(data)
+// AddAndActivate stores a blob and immediately makes it the serving version.
+func (s *Store[T]) AddAndActivate(data []byte) (*Version[T], error) {
+	v, err := s.Add(data)
 	if err != nil {
 		return nil, err
 	}
-	if err := r.Activate(v.ID); err != nil {
+	if err := s.Activate(v.ID); err != nil {
 		return nil, err
 	}
 	return v, nil
 }
 
-// Active returns the serving version, or nil when no model is activated.
-// This is the inference hot path: one atomic load, no locks.
-func (r *Registry) Active() *Version {
-	return r.active.Load()
+// Active returns the serving version, or nil when none is activated. This
+// is the inference hot path: one atomic load, no locks.
+func (s *Store[T]) Active() *Version[T] {
+	return s.active.Load()
 }
 
 // List returns the stored versions in id order, flagging the active one.
-func (r *Registry) List() []Info {
-	act := r.Active()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Info, 0, len(r.versions))
-	for _, v := range r.versions {
+func (s *Store[T]) List() []Info {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	act := s.active.Load()
+	out := make([]Info, 0, len(s.versions))
+	for _, v := range s.versions {
 		out = append(out, Info{
 			ID: v.ID, Size: v.Size, AddedAt: v.AddedAt,
 			Active: act != nil && act.ID == v.ID,
@@ -304,24 +369,27 @@ func (r *Registry) List() []Info {
 	return out
 }
 
-// writeFileAtomic writes data to path via a temp file in the same directory
-// and an atomic rename.
-func writeFileAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".tmp-*")
+// peek reads and validates the active blob of a registry directory without
+// opening (and validating) the whole store, returning the artifact, its
+// version id in its home registry, and the raw blob (ready for
+// AddAndActivate elsewhere).
+func (k *kind[T]) peek(dir string) (T, int, []byte, error) {
+	var zero T
+	cur, err := os.ReadFile(filepath.Join(dir, k.pointer))
 	if err != nil {
-		return fmt.Errorf("registry: temp file in %s: %w", dir, err)
+		return zero, 0, nil, err
 	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("registry: writing %s: %w", tmp.Name(), err)
+	id, err := strconv.Atoi(strings.TrimSpace(string(cur)))
+	if err != nil || id <= 0 {
+		return zero, 0, nil, fmt.Errorf("registry: corrupt %s in %s", k.pointer, dir)
 	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("registry: closing %s: %w", tmp.Name(), err)
+	data, err := os.ReadFile(filepath.Join(dir, k.blobName(id)))
+	if err != nil {
+		return zero, 0, nil, err
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("registry: renaming into %s: %w", path, err)
+	val, err := k.decode(bytes.NewReader(data))
+	if err != nil {
+		return zero, 0, nil, fmt.Errorf("registry: invalid %s in %s: %w", k.noun, dir, err)
 	}
-	return nil
+	return val, id, data, nil
 }

@@ -30,12 +30,12 @@ func TestTenantNamespacedStores(t *testing.T) {
 				return
 			}
 			for v := 1; v <= 3; v++ {
-				if _, err := r.Add(testBlob(t, int64(10*i+v))); err != nil {
+				if _, err := r.Models.Add(testBlob(t, int64(10*i+v))); err != nil {
 					t.Errorf("Add %s v%d: %v", dir, v, err)
 					return
 				}
 			}
-			if err := r.Activate(2); err != nil {
+			if err := r.Models.Activate(2); err != nil {
 				t.Errorf("Activate(%s): %v", dir, err)
 				return
 			}
@@ -50,17 +50,17 @@ func TestTenantNamespacedStores(t *testing.T) {
 	// Per-tenant prune: each namespace retains its active version plus the
 	// newest keep=1, independent of the other tenant's registry.
 	for i, r := range regs {
-		removed, err := r.Prune(1)
+		removed, err := r.Models.Prune(1)
 		if err != nil {
 			t.Fatalf("Prune tenant %d: %v", i, err)
 		}
 		if len(removed) != 1 || removed[0] != 1 {
 			t.Fatalf("Prune tenant %d removed %v, want [1]", i, removed)
 		}
-		if got := len(r.List()); got != 2 {
+		if got := len(r.Models.List()); got != 2 {
 			t.Fatalf("tenant %d retains %d versions, want 2 (active v2 + newest v3)", i, got)
 		}
-		if a := r.Active(); a == nil || a.ID != 2 {
+		if a := r.Models.Active(); a == nil || a.ID != 2 {
 			t.Fatalf("tenant %d active = %v, want v2", i, a)
 		}
 	}
@@ -88,7 +88,7 @@ func TestTenantNamespacedStores(t *testing.T) {
 	if err != nil {
 		t.Fatalf("healthy tenant store rejected after sibling corruption: %v", err)
 	}
-	if a := r.Active(); a == nil || a.ID != 2 {
+	if a := r.Models.Active(); a == nil || a.ID != 2 {
 		t.Fatalf("healthy tenant reopened active = %v, want v2", a)
 	}
 }
@@ -104,7 +104,7 @@ func TestConcurrentReopenAcrossTenants(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := r.AddAndActivate(testBlob(t, int64(i+1))); err != nil {
+		if _, err := r.Models.AddAndActivate(testBlob(t, int64(i+1))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -119,7 +119,7 @@ func TestConcurrentReopenAcrossTenants(t *testing.T) {
 					t.Errorf("reopen %s: %v", dir, err)
 					return
 				}
-				a := r.Active()
+				a := r.Models.Active()
 				if a == nil || a.ID != 1 {
 					t.Errorf("reopen %s: active = %v, want v1", dir, a)
 					return

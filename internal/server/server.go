@@ -549,7 +549,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"telemetry":      tn.Sink.Total(),
 		"indexes_cached": len(s.cfg.Exec.CachedIndexes()),
 	}
-	if v := tn.Reg.Active(); v != nil {
+	if v := tn.Reg.Models.Active(); v != nil {
 		resp["model"] = v.ID
 	} else {
 		resp["model"] = nil
@@ -706,12 +706,12 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	var cmp models.Comparator
 	switch req.Comparator {
 	case "", "model":
-		v := tn.Reg.Active()
+		v := tn.Reg.Models.Active()
 		if v == nil {
 			writeErr(w, http.StatusConflict, "no model activated for tenant %q; upload one via POST /v1/models or pass comparator=optimizer", tn.ID)
 			return
 		}
-		cmp = v.Clf
+		cmp = v.Value
 		resp.Comparator = "model"
 		resp.ModelVersion = v.ID
 	case "optimizer":
@@ -792,8 +792,8 @@ func (s *Server) handleModelUpload(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "reading model blob: %v", err)
 		return
 	}
-	prior := tn.Reg.Active()
-	v, err := tn.Reg.AddAndActivate(data)
+	prior := tn.Reg.Models.Active()
+	v, err := tn.Reg.Models.AddAndActivate(data)
 	if err != nil {
 		writeErr(w, http.StatusUnprocessableEntity, "%v", err)
 		return
@@ -804,7 +804,7 @@ func (s *Server) handleModelUpload(w http.ResponseWriter, r *http.Request) {
 		if prior != nil {
 			pin = append(pin, prior.ID)
 		}
-		_, _ = tn.Reg.Prune(s.cfg.RegistryKeep, pin...)
+		_, _ = tn.Reg.Models.Prune(s.cfg.RegistryKeep, pin...)
 	}
 	writeJSON(w, http.StatusCreated, map[string]any{
 		"version": v.ID, "activated": true, "size": v.Size, "tenant": tn.ID,
@@ -813,8 +813,8 @@ func (s *Server) handleModelUpload(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleModelList(w http.ResponseWriter, r *http.Request) {
 	tn := tenantFrom(r)
-	resp := map[string]any{"versions": tn.Reg.List(), "tenant": tn.ID}
-	if v := tn.Reg.Active(); v != nil {
+	resp := map[string]any{"versions": tn.Reg.Models.List(), "tenant": tn.ID}
+	if v := tn.Reg.Models.Active(); v != nil {
 		resp["active"] = v.ID
 	} else {
 		resp["active"] = nil
@@ -898,8 +898,8 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	modelVersion := 0
 	switch req.Comparator {
 	case "", "model":
-		if v := tn.Reg.Active(); v != nil {
-			cmp = v.Clf
+		if v := tn.Reg.Models.Active(); v != nil {
+			cmp = v.Value
 			modelVersion = v.ID
 		} else if req.Comparator == "model" {
 			writeErr(w, http.StatusConflict, "no model activated for tenant %q", tn.ID)

@@ -254,7 +254,7 @@ func (m *Manager) materializeLocked(id string) (*Tenant, error) {
 // Every failure path simply leaves the tenant cold — warm start is an
 // optimization, never a gate.
 func (m *Manager) warmStart(t *Tenant) {
-	if m.cfg.WarmStartFloor <= 0 || m.cfg.Dir == "" || t.Reg.Active() != nil {
+	if m.cfg.WarmStartFloor <= 0 || m.cfg.Dir == "" || t.Reg.Models.Active() != nil {
 		return
 	}
 	recs, _ := t.Sink.Snapshot()
@@ -314,22 +314,19 @@ func (m *Manager) warmStart(t *Tenant) {
 	if best == nil {
 		return
 	}
-	if _, err := t.Reg.AddAndActivate(best.modelBlob); err != nil {
+	if _, err := t.Reg.Models.AddAndActivate(best.modelBlob); err != nil {
 		return
+	}
+	prov := &registry.Provenance{
+		SeededFrom: best.id, SourceVersion: best.modelVer,
+		Similarity: best.sim, At: time.Now().UTC(),
 	}
 	// The encoder ride-along gives the seeded tenant an embedding-drift
 	// reference path from cycle one; losing it degrades gracefully.
-	if _, err := t.Reg.AddAndActivateEncoder(best.encBlob); err == nil {
-		_ = t.Reg.SaveProvenance(&registry.Provenance{
-			SeededFrom: best.id, SourceVersion: best.modelVer,
-			SourceEncoder: best.encVer, Similarity: best.sim, At: time.Now().UTC(),
-		})
-	} else {
-		_ = t.Reg.SaveProvenance(&registry.Provenance{
-			SeededFrom: best.id, SourceVersion: best.modelVer,
-			Similarity: best.sim, At: time.Now().UTC(),
-		})
+	if _, err := t.Reg.Encoders.AddAndActivate(best.encBlob); err == nil {
+		prov.SourceEncoder = best.encVer
 	}
+	_ = t.Reg.SaveProvenance(prov)
 	mWarmStarts.Inc()
 }
 

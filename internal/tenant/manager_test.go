@@ -86,10 +86,10 @@ func TestManagerNamespacing(t *testing.T) {
 
 	// The default tenant keeps the flat pre-multi-tenant layout; acme is
 	// namespaced under the tenants root.
-	if _, err := def.Reg.Add(blob(t, 1)); err != nil {
+	if _, err := def.Reg.Models.Add(blob(t, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.Reg.Add(blob(t, 2)); err != nil {
+	if _, err := a.Reg.Models.Add(blob(t, 2)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(filepath.Join(m.cfg.DefaultModelDir, "v0001.clf")); err != nil {
@@ -119,7 +119,7 @@ func TestManagerEvictionThenReloadPreservesCurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := a.Reg.AddAndActivate(blob(t, 7))
+	v, err := a.Reg.Models.AddAndActivate(blob(t, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestManagerEvictionThenReloadPreservesCurrent(t *testing.T) {
 	if a2 == a {
 		t.Fatal("re-acquire returned the evicted instance")
 	}
-	active := a2.Reg.Active()
+	active := a2.Reg.Models.Active()
 	if active == nil || active.ID != v.ID {
 		t.Fatalf("reloaded active = %+v, want version %d", active, v.ID)
 	}

@@ -155,10 +155,10 @@ func TestManagerWarmStart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Release(b)
-	if b.Reg.Active() == nil {
+	if b.Reg.Models.Active() == nil {
 		t.Fatal("warm start did not seed a champion")
 	}
-	if b.Reg.ActiveEncoder() == nil {
+	if b.Reg.Encoders.Active() == nil {
 		t.Fatal("warm start did not adopt the donor's encoder")
 	}
 	prov, err := b.Reg.LoadProvenance()
@@ -211,7 +211,7 @@ func TestManagerWarmStart(t *testing.T) {
 	if rep.Decision != learn.DecisionRolledBack {
 		t.Fatalf("beta rollback cycle = %s (%s), want rolled_back", rep.Decision, rep.Reason)
 	}
-	if act := b.Reg.Active(); act == nil || act.ID == promoted {
+	if act := b.Reg.Models.Active(); act == nil || act.ID == promoted {
 		t.Fatalf("beta still serving the rolled-back version: %+v", act)
 	}
 
@@ -221,7 +221,7 @@ func TestManagerWarmStart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Release(a)
-	if act := a.Reg.Active(); act == nil || act.ID != 1 {
+	if act := a.Reg.Models.Active(); act == nil || act.ID != 1 {
 		t.Fatalf("donor registry changed under warm start: %+v", act)
 	}
 }
@@ -240,7 +240,7 @@ func TestManagerWarmStartRespectsFloor(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Release(c)
-	if c.Reg.Active() != nil {
+	if c.Reg.Models.Active() != nil {
 		t.Fatal("dissimilar workload was warm-started anyway")
 	}
 	prov, err := c.Reg.LoadProvenance()
@@ -264,7 +264,7 @@ func TestManagerWarmStartDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Release(b)
-	if b.Reg.Active() != nil {
+	if b.Reg.Models.Active() != nil {
 		t.Fatal("warm start ran with a negative floor")
 	}
 }
@@ -341,7 +341,7 @@ func TestManagerEvictionSpillsLearnState(t *testing.T) {
 	if rep.Decision != learn.DecisionRolledBack {
 		t.Fatalf("post-restore cycle = %s (%s), want rolled_back", rep.Decision, rep.Reason)
 	}
-	if act := a2.Reg.Active(); act == nil || act.ID != 1 {
+	if act := a2.Reg.Models.Active(); act == nil || act.ID != 1 {
 		t.Fatalf("active after restored rollback = %+v, want v1", act)
 	}
 }
