@@ -142,9 +142,9 @@ func TestEqAndRangeOnSameColumnNotDuplicated(t *testing.T) {
 		Name:   "dupkey",
 		Tables: []string{"fact"},
 		Preds: []query.Pred{
-			{Table: "fact", Column: "a", Lo: 5, Hi: 5},           // a = 5
-			{Table: "fact", Column: "a", Lo: query.NoLo, Hi: 9},  // a < 10
-			{Table: "fact", Column: "b", Lo: 0, Hi: 100},         // range keeps rangeCols non-empty
+			{Table: "fact", Column: "a", Lo: 5, Hi: 5},          // a = 5
+			{Table: "fact", Column: "a", Lo: query.NoLo, Hi: 9}, // a < 10
+			{Table: "fact", Column: "b", Lo: 0, Hi: 100},        // range keeps rangeCols non-empty
 		},
 		Select: []query.ColRef{{Table: "fact", Column: "v"}},
 	}

@@ -176,90 +176,6 @@ func (w *WhatIf) Plan(q *query.Query, cfg *catalog.Configuration) (*plan.Plan, e
 	return p, nil
 }
 
-// PlanBatch plans q under every configuration in cfgs and returns the plans
-// in order. It has the same caching/singleflight semantics as calling Plan
-// once per configuration, but amortizes the per-probe setup — the query
-// fingerprint is rendered once, and the optimizer's per-query analysis and
-// pooled planner state stay hot across the batch. The tuner's greedy step
-// uses it to evaluate all candidate configurations of one query in one
-// call. The first failing configuration aborts the batch.
-func (w *WhatIf) PlanBatch(q *query.Query, cfgs []*catalog.Configuration) ([]*plan.Plan, error) {
-	if len(cfgs) == 0 {
-		return nil, nil
-	}
-	qfp := w.queryFingerprint(q)
-	w.calls.Add(int64(len(cfgs)))
-
-	type slot struct {
-		e     *whatIfEntry
-		owned bool // this call created the entry and must fill it
-	}
-	slots := make([]slot, len(cfgs))
-	for i, cfg := range cfgs {
-		fp := ""
-		if cfg != nil {
-			fp = cfg.Fingerprint()
-		}
-		key := whatIfKey{queryFP: qfp, configFP: fp}
-		sh := w.shardFor(key)
-		sh.mu.Lock()
-		if e, ok := sh.entries[key]; ok {
-			// Completed or in flight (possibly owned by an earlier slot of
-			// this same batch — duplicates wait like foreign entries).
-			slots[i] = slot{e: e}
-			sh.mu.Unlock()
-			continue
-		}
-		e := &whatIfEntry{done: make(chan struct{})}
-		sh.entries[key] = e
-		sh.order = append(sh.order, key)
-		mCacheMiss.Inc()
-		mEntries.Add(1)
-		mShardMax.Max(float64(len(sh.entries)))
-		sh.evictLocked(w.MaxEntries)
-		sh.mu.Unlock()
-		slots[i] = slot{e: e, owned: true}
-
-		t0 := mProbeLat.Start()
-		p, err := w.Opt.Optimize(q, cfg)
-		mProbeLat.Stop(t0)
-		if err != nil {
-			mProbeErr.Inc()
-			sh.mu.Lock()
-			if sh.entries[key] == e {
-				delete(sh.entries, key)
-				mEntries.Add(-1)
-			}
-			sh.mu.Unlock()
-			e.err = err
-			close(e.done)
-			return nil, err
-		}
-		e.p = p
-		close(e.done)
-	}
-
-	out := make([]*plan.Plan, len(cfgs))
-	for i := range slots {
-		e := slots[i].e
-		if !slots[i].owned {
-			select {
-			case <-e.done:
-				mCacheHit.Inc()
-			default:
-				mCacheWait.Inc()
-				<-e.done
-			}
-			if e.err != nil {
-				return nil, e.err
-			}
-			w.hits.Add(1)
-		}
-		out[i] = e.p
-	}
-	return out, nil
-}
-
 // evictLocked drops the oldest completed entries until the shard is within
 // its share of the bound. In-flight entries are never evicted.
 func (sh *whatIfShard) evictLocked(maxEntries int) {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/engine/catalog"
+	"repro/internal/engine/plan"
 	"repro/internal/engine/query"
 )
 
@@ -116,13 +117,7 @@ func TestWhatIfEntryBound(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var entries int
-	for i := range w.shards {
-		w.shards[i].mu.Lock()
-		entries += len(w.shards[i].entries)
-		w.shards[i].mu.Unlock()
-	}
-	if entries > bound {
+	if entries := cacheEntries(w); entries > bound {
 		t.Fatalf("cache holds %d entries, bound %d", entries, bound)
 	}
 	// A fresh probe after heavy eviction still plans correctly.
@@ -174,4 +169,70 @@ func TestWhatIfConcurrentHammer(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// cacheEntries counts the plans (completed or in flight) the cache holds.
+func cacheEntries(w *WhatIf) int {
+	var n int
+	for i := range w.shards {
+		w.shards[i].mu.Lock()
+		n += len(w.shards[i].entries)
+		w.shards[i].mu.Unlock()
+	}
+	return n
+}
+
+// TestWhatIfDuplicateConfigs: two configurations with the same fingerprint
+// are planned once and share the cache entry.
+func TestWhatIfDuplicateConfigs(t *testing.T) {
+	s, _, ds := buildEnv(t)
+	w := NewWhatIf(New(s, ds))
+	q := pointQuery()
+	a := catalog.NewConfiguration(&catalog.Index{Table: "fact", KeyColumns: []string{"f_date"}})
+	b := catalog.NewConfiguration(&catalog.Index{Table: "fact", KeyColumns: []string{"f_date"}})
+	var plans []*plan.Plan
+	for _, cfg := range []*catalog.Configuration{a, b, a} {
+		p, err := w.Plan(q, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans = append(plans, p)
+	}
+	if plans[0] != plans[1] || plans[1] != plans[2] {
+		t.Fatal("configurations with one fingerprint must share one cached plan")
+	}
+	calls, hits := w.Stats()
+	if calls != 3 || hits != 2 {
+		t.Fatalf("stats: calls=%d hits=%d, want 3/2", calls, hits)
+	}
+}
+
+// TestWhatIfErrorNotCached: a failing probe returns the optimizer's error,
+// leaves no cache entry behind, and fails the same way on retry.
+func TestWhatIfErrorNotCached(t *testing.T) {
+	s, _, ds := buildEnv(t)
+	w := NewWhatIf(New(s, ds))
+	if _, err := w.Plan(pointQuery(), nil); err != nil {
+		t.Fatal(err)
+	}
+	prior := cacheEntries(w)
+	bad := &query.Query{
+		Name:   "bad",
+		Tables: []string{"nope"},
+		Select: []query.ColRef{{Table: "nope", Column: "x"}},
+	}
+	for i, cfg := range []*catalog.Configuration{nil, catalog.NewConfiguration(&catalog.Index{Table: "fact", Kind: catalog.Columnstore})} {
+		_, err := w.Plan(bad, cfg)
+		if err == nil {
+			t.Fatalf("config %d: expected an error for an invalid query", i)
+		}
+		if n := cacheEntries(w); n != prior {
+			t.Fatalf("config %d: the failure left %d entries, want %d", i, n, prior)
+		}
+		// Not a poisoned entry that panics or returns a nil plan.
+		_, retry := w.Plan(bad, cfg)
+		if retry == nil || retry.Error() != err.Error() {
+			t.Fatalf("config %d: retry returned %v, want %v", i, retry, err)
+		}
+	}
 }

@@ -145,9 +145,9 @@ type fitEngine struct {
 	sc      *fitScratch
 	rng     *util.RNG
 	cfg     Config
-	k       int  // classes; 0 = regression
-	d       int  // features
-	n       int  // samples (bootstrap size, not matrix rows)
+	k       int // classes; 0 = regression
+	d       int // features
+	n       int // samples (bootstrap size, not matrix rows)
 	minLeaf int
 	par     int  // feature-scan workers for wide nodes
 	sampled bool // feature-subsampled fit: per-node segment sorts, no ord slab

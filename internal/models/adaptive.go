@@ -50,6 +50,19 @@ func (l *Local) Compare(p1, p2 *plan.Plan) expdata.Label {
 	return l.Classifier.Compare(p1, p2)
 }
 
+// CompareBatch implements BatchComparator; an unadapted Local predicts
+// Unsure for every pair, as Compare does.
+func (l *Local) CompareBatch(pairs []PlanPair, out []expdata.Label) []expdata.Label {
+	if l.Model == nil || !l.Trained() {
+		out = growLabels(out, len(pairs))
+		for i := range out {
+			out[i] = expdata.Unsure
+		}
+		return out
+	}
+	return l.Classifier.CompareBatch(pairs, out)
+}
+
 // Uncertainty combines an offline and a local classifier by trusting
 // whichever reports the lower prediction uncertainty (1 − max probability).
 type Uncertainty struct {

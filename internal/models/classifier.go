@@ -36,11 +36,11 @@ type BatchComparator interface {
 	CompareBatch(pairs []PlanPair, out []expdata.Label) []expdata.Label
 }
 
-// CompareAll classifies pairs with cmp, using its batched path when it has
-// one and sequential Compare calls otherwise. out is reused when large
-// enough.
+// CompareAll classifies pairs with cmp, using its batched path for two or
+// more pairs when it has one and sequential Compare calls otherwise (a
+// one-row batch costs more than Compare). out is reused when large enough.
 func CompareAll(cmp Comparator, pairs []PlanPair, out []expdata.Label) []expdata.Label {
-	if bc, ok := cmp.(BatchComparator); ok {
+	if bc, ok := cmp.(BatchComparator); ok && len(pairs) > 1 {
 		return bc.CompareBatch(pairs, out)
 	}
 	out = growLabels(out, len(pairs))

@@ -215,6 +215,12 @@ func TestUnadaptedAdaptivesFallBack(t *testing.T) {
 	if local.Compare(p.P1.Plan, p.P2.Plan) != expdata.Unsure {
 		t.Fatal("unadapted local should be unsure")
 	}
+	pairs := []PlanPair{{P1: p.P1.Plan, P2: p.P2.Plan}, {P1: test[1].P1.Plan, P2: test[1].P2.Plan}}
+	for i, v := range CompareAll(local, pairs, nil) {
+		if v != expdata.Unsure {
+			t.Fatalf("unadapted local's batched verdict %d = %v, want unsure", i, v)
+		}
+	}
 	u := NewUncertainty(offline, local)
 	nn := NewNearestNeighbor(offline, local, 0)
 	m := NewMeta(offline, local, 37)

@@ -1,9 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 )
@@ -67,5 +70,33 @@ func TestPlanBatchEndpoint(t *testing.T) {
 	}
 	if msg, _ := apiErr["error"].(string); !strings.Contains(msg, "config 1") {
 		t.Fatalf("error should name the failing config: %v", apiErr)
+	}
+
+	// A done request stops planning: 32 unseen configurations under an
+	// already-cancelled context cost at most one what-if call. The handler
+	// is called directly, because the timeout handler's goroutine would make
+	// the count racy.
+	cols := []string{"l_shipdate", "l_discount", "l_quantity", "l_price"}
+	configs := make([][]IndexSpec, 32)
+	for i := range configs {
+		var include []string
+		for b, c := range cols {
+			if i&(1<<b) != 0 {
+				include = append(include, c)
+			}
+		}
+		configs[i] = []IndexSpec{{Table: "lineitem", Key: []string{cols[2+i/16]}, Include: include}}
+	}
+	raw, err := json.Marshal(planRequest{Query: "q6", Configs: configs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	req := httptest.NewRequest(http.MethodPost, "/v1/plan", bytes.NewReader(raw)).WithContext(ctx)
+	calls0, _ := s.cfg.WhatIf.Stats()
+	s.handlePlan(httptest.NewRecorder(), req)
+	if calls1, _ := s.cfg.WhatIf.Stats(); calls1-calls0 > 1 {
+		t.Fatalf("a cancelled request made %d what-if calls, want at most 1", calls1-calls0)
 	}
 }

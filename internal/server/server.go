@@ -504,6 +504,15 @@ func (s *Server) resolveQuery(name, sql string) (*query.Query, error) {
 	}
 }
 
+// itemPrefix names item i of a list-form request (configs, pairs) in an
+// error text; the single form, which has no list, gets no prefix.
+func itemPrefix(list bool, format string, i int) string {
+	if !list {
+		return ""
+	}
+	return fmt.Sprintf(format, i)
+}
+
 // apiError is the uniform JSON error envelope.
 type apiError struct {
 	Error string `json:"error"`
@@ -563,18 +572,10 @@ type planRequest struct {
 	Query   string      `json:"query,omitempty"`
 	SQL     string      `json:"sql,omitempty"`
 	Indexes []IndexSpec `json:"indexes,omitempty"`
-	// Configs requests batched planning of the same query under many
-	// configurations in one call (WhatIf.PlanBatch); the response carries
-	// one result per configuration, in request order. Mutually exclusive
-	// with the top-level Indexes.
+	// Configs plans the same query under many configurations in one call;
+	// the response carries one result per configuration, in request order.
+	// Mutually exclusive with the top-level Indexes.
 	Configs [][]IndexSpec `json:"configs,omitempty"`
-}
-
-type planResponse struct {
-	Query   string   `json:"query"`
-	EstCost float64  `json:"est_cost"`
-	Indexes []string `json:"indexes"`
-	Plan    string   `json:"plan"`
 }
 
 type planConfigResult struct {
@@ -583,11 +584,19 @@ type planConfigResult struct {
 	Plan    string   `json:"plan"`
 }
 
+type planResponse struct {
+	Query string `json:"query"`
+	planConfigResult
+}
+
 type planBatchResponse struct {
 	Query string             `json:"query"`
 	Plans []planConfigResult `json:"plans"`
 }
 
+// handlePlan answers both forms of POST /v1/plan. The single form is
+// planned as a one-element configs list; only the response shape and the
+// error prefix depend on which form arrived.
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	var req planRequest
 	if !readJSON(w, r, &req) {
@@ -598,57 +607,45 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if len(req.Configs) > 0 {
-		if len(req.Indexes) > 0 {
-			writeErr(w, http.StatusBadRequest, "indexes and configs are mutually exclusive")
-			return
-		}
-		s.handlePlanBatch(w, q, req.Configs)
+	batch := len(req.Configs) > 0
+	specs := req.Configs
+	if !batch {
+		specs = [][]IndexSpec{req.Indexes}
+	} else if len(req.Indexes) > 0 {
+		writeErr(w, http.StatusBadRequest, "indexes and configs are mutually exclusive")
 		return
 	}
-	cfg, err := s.toConfig(req.Indexes)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	p, err := s.cfg.WhatIf.Plan(q, cfg)
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, "planning: %v", err)
-		return
-	}
-	ids := make([]string, 0, cfg.Len())
-	for _, ix := range cfg.Indexes() {
-		ids = append(ids, ix.ID())
-	}
-	writeJSON(w, http.StatusOK, planResponse{
-		Query: q.Name, EstCost: p.EstTotalCost, Indexes: ids, Plan: p.String(),
-	})
-}
-
-func (s *Server) handlePlanBatch(w http.ResponseWriter, q *query.Query, specs [][]IndexSpec) {
+	// Every configuration is validated before any is planned.
 	cfgs := make([]*catalog.Configuration, len(specs))
 	for i, sp := range specs {
-		cfg, err := s.toConfig(sp)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, "config %d: %v", i, err)
+		if cfgs[i], err = s.toConfig(sp); err != nil {
+			writeErr(w, http.StatusBadRequest, "%s%v", itemPrefix(batch, "config %d: ", i), err)
 			return
 		}
-		cfgs[i] = cfg
 	}
-	plans, err := s.cfg.WhatIf.PlanBatch(q, cfgs)
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, "planning: %v", err)
-		return
-	}
-	out := make([]planConfigResult, len(plans))
-	for i, p := range plans {
-		ids := make([]string, 0, cfgs[i].Len())
-		for _, ix := range cfgs[i].Indexes() {
+	out := make([]planConfigResult, len(cfgs))
+	for i, cfg := range cfgs {
+		// A done request was answered by the timeout handler or dropped
+		// by its client: stop planning.
+		if r.Context().Err() != nil {
+			return
+		}
+		p, err := s.cfg.WhatIf.Plan(q, cfg)
+		if err != nil {
+			writeErr(w, http.StatusInternalServerError, "planning: %v", err)
+			return
+		}
+		ids := make([]string, 0, cfg.Len())
+		for _, ix := range cfg.Indexes() {
 			ids = append(ids, ix.ID())
 		}
 		out[i] = planConfigResult{EstCost: p.EstTotalCost, Indexes: ids, Plan: p.String()}
 	}
-	writeJSON(w, http.StatusOK, planBatchResponse{Query: q.Name, Plans: out})
+	if batch {
+		writeJSON(w, http.StatusOK, planBatchResponse{Query: q.Name, Plans: out})
+	} else {
+		writeJSON(w, http.StatusOK, planResponse{Query: q.Name, planConfigResult: out[0]})
+	}
 }
 
 type classifyRequest struct {
@@ -656,8 +653,7 @@ type classifyRequest struct {
 	SQL      string      `json:"sql,omitempty"`
 	IndexesA []IndexSpec `json:"indexes_a,omitempty"`
 	IndexesB []IndexSpec `json:"indexes_b,omitempty"`
-	// Pairs requests batched classification of many configuration pairs
-	// for the same query: all verdicts come from one batched comparator
+	// Pairs classifies many configuration pairs for the same query in one
 	// call. Mutually exclusive with the top-level indexes_a/indexes_b.
 	Pairs []classifyPairSpec `json:"pairs,omitempty"`
 	// Comparator selects the verdict source: "model" (default; requires an
@@ -683,10 +679,13 @@ type classifyResponse struct {
 	ModelVersion int     `json:"model_version,omitempty"`
 	EstCostA     float64 `json:"est_cost_a,omitempty"`
 	EstCostB     float64 `json:"est_cost_b,omitempty"`
-	// Verdicts holds the batched results, in request pair order.
+	// Verdicts holds the results of the pairs form, in request pair order.
 	Verdicts []classifyPairVerdict `json:"verdicts,omitempty"`
 }
 
+// handleClassify answers both forms of POST /v1/classify. The single form
+// is classified as a one-element pairs list; only the response shape and
+// the error prefix depend on which form arrived.
 func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	var req classifyRequest
 	if !readJSON(w, r, &req) {
@@ -697,7 +696,11 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if len(req.Pairs) > 0 && (len(req.IndexesA) > 0 || len(req.IndexesB) > 0) {
+	batch := len(req.Pairs) > 0
+	specs := req.Pairs
+	if !batch {
+		specs = []classifyPairSpec{{IndexesA: req.IndexesA, IndexesB: req.IndexesB}}
+	} else if len(req.IndexesA) > 0 || len(req.IndexesB) > 0 {
 		writeErr(w, http.StatusBadRequest, "pairs is mutually exclusive with indexes_a/indexes_b")
 		return
 	}
@@ -721,65 +724,45 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "unknown comparator %q", req.Comparator)
 		return
 	}
-	if len(req.Pairs) > 0 {
-		// Batched classification: plan every pair, then produce all
-		// verdicts with one batched comparator call.
-		pairs := make([]models.PlanPair, len(req.Pairs))
-		for i, spec := range req.Pairs {
-			cfgA, err := s.toConfig(spec.IndexesA)
-			if err != nil {
-				writeErr(w, http.StatusBadRequest, "pairs[%d].indexes_a: %v", i, err)
-				return
-			}
-			cfgB, err := s.toConfig(spec.IndexesB)
-			if err != nil {
-				writeErr(w, http.StatusBadRequest, "pairs[%d].indexes_b: %v", i, err)
-				return
-			}
-			if pairs[i].P1, err = s.cfg.WhatIf.Plan(q, cfgA); err != nil {
-				writeErr(w, http.StatusInternalServerError, "pairs[%d]: planning under indexes_a: %v", i, err)
-				return
-			}
-			if pairs[i].P2, err = s.cfg.WhatIf.Plan(q, cfgB); err != nil {
-				writeErr(w, http.StatusInternalServerError, "pairs[%d]: planning under indexes_b: %v", i, err)
-				return
-			}
+	pairs := make([]models.PlanPair, len(specs))
+	for i, spec := range specs {
+		// A done request was answered by the timeout handler or dropped
+		// by its client: stop planning.
+		if r.Context().Err() != nil {
+			return
 		}
-		verdicts := models.CompareAll(cmp, pairs, nil)
-		resp.Verdicts = make([]classifyPairVerdict, len(pairs))
-		for i, p := range pairs {
-			resp.Verdicts[i] = classifyPairVerdict{
-				Verdict:  verdicts[i].String(),
-				EstCostA: p.P1.EstTotalCost,
-				EstCostB: p.P2.EstTotalCost,
-			}
+		cfgA, err := s.toConfig(spec.IndexesA)
+		if err != nil {
+			writeErr(w, http.StatusBadRequest, "%sindexes_a: %v", itemPrefix(batch, "pairs[%d].", i), err)
+			return
 		}
-		writeJSON(w, http.StatusOK, resp)
-		return
+		cfgB, err := s.toConfig(spec.IndexesB)
+		if err != nil {
+			writeErr(w, http.StatusBadRequest, "%sindexes_b: %v", itemPrefix(batch, "pairs[%d].", i), err)
+			return
+		}
+		if pairs[i].P1, err = s.cfg.WhatIf.Plan(q, cfgA); err != nil {
+			writeErr(w, http.StatusInternalServerError, "%splanning under indexes_a: %v", itemPrefix(batch, "pairs[%d]: ", i), err)
+			return
+		}
+		if pairs[i].P2, err = s.cfg.WhatIf.Plan(q, cfgB); err != nil {
+			writeErr(w, http.StatusInternalServerError, "%splanning under indexes_b: %v", itemPrefix(batch, "pairs[%d]: ", i), err)
+			return
+		}
 	}
-	cfgA, err := s.toConfig(req.IndexesA)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "indexes_a: %v", err)
-		return
+	verdicts := models.CompareAll(cmp, pairs, nil)
+	resp.Verdicts = make([]classifyPairVerdict, len(pairs))
+	for i, p := range pairs {
+		resp.Verdicts[i] = classifyPairVerdict{
+			Verdict:  verdicts[i].String(),
+			EstCostA: p.P1.EstTotalCost,
+			EstCostB: p.P2.EstTotalCost,
+		}
 	}
-	cfgB, err := s.toConfig(req.IndexesB)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "indexes_b: %v", err)
-		return
+	if !batch {
+		one := resp.Verdicts[0]
+		resp.Verdict, resp.EstCostA, resp.EstCostB, resp.Verdicts = one.Verdict, one.EstCostA, one.EstCostB, nil
 	}
-	pA, err := s.cfg.WhatIf.Plan(q, cfgA)
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, "planning under indexes_a: %v", err)
-		return
-	}
-	pB, err := s.cfg.WhatIf.Plan(q, cfgB)
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, "planning under indexes_b: %v", err)
-		return
-	}
-	resp.Verdict = cmp.Compare(pA, pB).String()
-	resp.EstCostA = pA.EstTotalCost
-	resp.EstCostB = pB.EstTotalCost
 	writeJSON(w, http.StatusOK, resp)
 }
 

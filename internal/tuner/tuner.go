@@ -246,8 +246,7 @@ func (t *Tuner) allowedByBudget(c0, c *catalog.Configuration) bool {
 }
 
 // gateVerdict tallies one no-regression verdict and reports acceptance.
-// It is the single accounting point for the gate counters, shared by the
-// serial and batched gate paths, so batching cannot skew the metrics.
+// It is the single accounting point for the gate counters.
 func gateVerdict(v expdata.Label) bool {
 	switch v {
 	case expdata.Regression:
@@ -261,32 +260,25 @@ func gateVerdict(v expdata.Label) bool {
 	return true
 }
 
-// acceptNoRegression applies the no-regression gate for one query: the
-// comparator must not predict a regression versus the initial plan.
-func (t *Tuner) acceptNoRegression(p0, pH *plan.Plan) bool {
-	if t.Cmp == nil {
-		return true // the classic tuner trusts estimates
+// gate runs one step's no-regression gate. probe(k) returns the k-th
+// (initial plan, candidate plan) pair, or the error of the probe behind it;
+// the first error in k order is returned before anything is classified.
+// Otherwise the pairs are classified by one models.CompareAll call and the
+// verdicts are returned untallied: callers feed them to gateVerdict in k
+// order. The verdicts are nil when there is no comparator (the classic
+// tuner trusts estimates) or no pair.
+func (t *Tuner) gate(n int, probe func(k int) (p0, p *plan.Plan, err error)) ([]expdata.Label, error) {
+	pairs := make([]models.PlanPair, n)
+	for k := range pairs {
+		var err error
+		if pairs[k].P1, pairs[k].P2, err = probe(k); err != nil {
+			return nil, err
+		}
 	}
-	// One Compare call per gate, counted by verdict. Semantically identical
-	// to !models.IsRegression(t.Cmp, p0, pH).
-	return gateVerdict(t.Cmp.Compare(p0, pH))
-}
-
-// gateBatch runs the no-regression comparisons of many candidates against
-// a fixed incumbent in one batched call when the comparator supports it.
-// It returns nil when the caller should gate serially instead. Verdicts
-// are returned untallied: the caller feeds them to gateVerdict in
-// candidate order, so counter semantics match the serial path exactly.
-func (t *Tuner) gateBatch(p0 *plan.Plan, cands []*plan.Plan) []expdata.Label {
-	bc, ok := t.Cmp.(models.BatchComparator)
-	if !ok || len(cands) < 2 {
-		return nil
+	if t.Cmp == nil || n == 0 {
+		return nil, nil
 	}
-	pairs := make([]models.PlanPair, len(cands))
-	for i, p := range cands {
-		pairs[i] = models.PlanPair{P1: p0, P2: p}
-	}
-	return bc.CompareBatch(pairs, nil)
+	return models.CompareAll(t.Cmp, pairs, nil), nil
 }
 
 // better decides whether candidate pH improves on the incumbent pBest,
@@ -315,28 +307,6 @@ func (t *Tuner) better(pBest, pH *plan.Plan) bool {
 		}
 	}
 	return pH.EstTotalCost < pBest.EstTotalCost
-}
-
-// anyErr reports whether any element of errs is non-nil.
-func anyErr(errs []error) bool {
-	for _, err := range errs {
-		if err != nil {
-			return true
-		}
-	}
-	return false
-}
-
-// probesOK reports whether every probe of a step succeeded (the batched
-// gate path requires all plans up front; any error falls back to the
-// serial gate, which returns the first error in candidate order).
-func probesOK(probes []*queryProbe) bool {
-	for _, pr := range probes {
-		if pr.err != nil {
-			return false
-		}
-	}
-	return true
 }
 
 // queryProbe is one candidate probe of a greedy step: the candidate index,
@@ -391,59 +361,26 @@ func (t *Tuner) TuneQuery(ctx context.Context, q *query.Query, c0 *catalog.Confi
 			probes = append(probes, &queryProbe{ix: ix, cfg: cfg})
 		}
 		mStepCands.Observe(float64(len(probes)))
-		if t.workers == nil {
-			// Serial probing: one batch what-if call amortizes per-probe
-			// setup (query fingerprint, per-query analysis, planner state)
-			// across all of this step's candidates.
-			if err := ctx.Err(); err != nil {
-				return nil, err
+		t.parallelFor(len(probes), func(i int) {
+			pr := probes[i]
+			if pr.err = ctx.Err(); pr.err != nil {
+				return
 			}
-			cfgs := make([]*catalog.Configuration, len(probes))
-			for i, pr := range probes {
-				cfgs[i] = pr.cfg
-			}
-			plans, err := t.WhatIf.PlanBatch(q, cfgs)
-			if err != nil {
-				return nil, err
-			}
-			for i, pr := range probes {
-				pr.p = plans[i]
-			}
-		} else {
-			t.parallelFor(len(probes), func(i int) {
-				pr := probes[i]
-				if pr.err = ctx.Err(); pr.err != nil {
-					return
-				}
-				pr.p, pr.err = t.WhatIf.Plan(q, pr.cfg)
-			})
-		}
-		// Serial selection over the probe results, in candidate order:
-		// gate every candidate against the step's fixed incumbent
-		// (bestPlan), then keep the lowest-cost survivor. When every probe
-		// succeeded and the comparator batches, all gate comparisons run as
-		// one inference batch; the verdicts are then tallied and consumed
-		// in the same candidate order as the serial path.
-		var verdicts []expdata.Label
-		if probesOK(probes) {
-			cand := make([]*plan.Plan, len(probes))
-			for i, pr := range probes {
-				cand[i] = pr.p
-			}
-			verdicts = t.gateBatch(p0, cand)
+			pr.p, pr.err = t.WhatIf.Plan(q, pr.cfg)
+		})
+		// Serial selection over the probe results, in candidate order: gate
+		// every candidate against the initial plan, rank the survivors
+		// against the step's fixed incumbent (bestPlan), then keep the
+		// lowest-cost one.
+		verdicts, err := t.gate(len(probes), func(i int) (*plan.Plan, *plan.Plan, error) {
+			return p0, probes[i].p, probes[i].err
+		})
+		if err != nil {
+			return nil, err
 		}
 		var step *queryProbe
 		for i, pr := range probes {
-			if pr.err != nil {
-				return nil, pr.err
-			}
-			var accepted bool
-			if verdicts != nil {
-				accepted = gateVerdict(verdicts[i])
-			} else {
-				accepted = t.acceptNoRegression(p0, pr.p)
-			}
-			if !accepted {
+			if verdicts != nil && !gateVerdict(verdicts[i]) {
 				continue
 			}
 			if !t.better(bestPlan, pr.p) {
@@ -512,32 +449,16 @@ func (t *Tuner) workloadCost(ctx context.Context, qs []*query.Query, initPlans, 
 		}
 		plans[i], errs[k] = t.WhatIf.Plan(qs[i], cfg)
 	})
-	// With a batching comparator and no probe errors, run all touched
-	// queries' gate comparisons as one inference batch. Verdicts are tallied
-	// in query order below, stopping at the first regression, so the
-	// counters match the serial path exactly (later verdicts stay
-	// untallied).
-	var verdicts []expdata.Label
-	if t.Cmp != nil && !anyErr(errs) {
-		if bc, ok := t.Cmp.(models.BatchComparator); ok && len(touched) >= 2 {
-			pairs := make([]models.PlanPair, len(touched))
-			for k, i := range touched {
-				pairs[k] = models.PlanPair{P1: initPlans[i], P2: plans[i]}
-			}
-			verdicts = bc.CompareBatch(pairs, nil)
-		}
+	verdicts, err := t.gate(len(touched), func(k int) (*plan.Plan, *plan.Plan, error) {
+		i := touched[k]
+		return initPlans[i], plans[i], errs[k]
+	})
+	if err != nil {
+		return nil, 0, false, err
 	}
-	for k, i := range touched {
-		if errs[k] != nil {
-			return nil, 0, false, errs[k]
-		}
-		var accepted bool
-		if verdicts != nil {
-			accepted = gateVerdict(verdicts[k])
-		} else {
-			accepted = t.acceptNoRegression(initPlans[i], plans[i])
-		}
-		if !accepted {
+	// Tally in query order, stopping at the first regression.
+	for _, v := range verdicts {
+		if !gateVerdict(v) {
 			return nil, 0, false, nil
 		}
 	}
