@@ -416,6 +416,29 @@ func (c *Configuration) Fingerprint() string {
 	return s
 }
 
+// FingerprintOf returns the fingerprint of the indexes of c for which keep
+// reports true: the Fingerprint of a configuration holding just those
+// indexes. When keep holds for every index it is c's cached Fingerprint.
+func (c *Configuration) FingerprintOf(keep func(*Index) bool) string {
+	ixs := c.SortedIndexes() // ID order, the order Fingerprint joins in
+	n := 0
+	for _, ix := range ixs {
+		if keep(ix) {
+			n++
+		}
+	}
+	if n == len(ixs) {
+		return c.Fingerprint()
+	}
+	ids := make([]string, 0, n)
+	for _, ix := range ixs {
+		if keep(ix) {
+			ids = append(ids, ix.ID())
+		}
+	}
+	return strings.Join(ids, ";")
+}
+
 // EstimatedBytes returns the total estimated size of all indexes in the
 // configuration given the schema.
 func (c *Configuration) EstimatedBytes(s *Schema) int64 {

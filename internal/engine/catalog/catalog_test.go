@@ -158,6 +158,20 @@ func TestConfigurationFingerprintAndDiff(t *testing.T) {
 	if got := c1.Diff(nil); len(got) != 2 {
 		t.Fatalf("Diff(nil) should return all: %d", len(got))
 	}
+	// FingerprintOf a subset is the fingerprint of a configuration holding
+	// just that subset.
+	u := &Index{Table: "u", KeyColumns: []string{"z"}}
+	c3 := NewConfiguration(a, u, b)
+	onT := func(ix *Index) bool { return ix.Table == "t" }
+	if got := c3.FingerprintOf(onT); got != c1.Fingerprint() {
+		t.Fatalf("FingerprintOf(t) = %q, want %q", got, c1.Fingerprint())
+	}
+	if got := c1.FingerprintOf(onT); got != c1.Fingerprint() {
+		t.Fatalf("FingerprintOf(all) = %q, want %q", got, c1.Fingerprint())
+	}
+	if got := c3.FingerprintOf(func(*Index) bool { return false }); got != NewConfiguration().Fingerprint() {
+		t.Fatalf("FingerprintOf(none) = %q, want the empty fingerprint", got)
+	}
 }
 
 func TestConfigurationEstimatedBytes(t *testing.T) {

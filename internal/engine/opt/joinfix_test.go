@@ -324,28 +324,46 @@ func TestPlansNeverAliasPlannerMemory(t *testing.T) {
 // TestOptimizeWarmAllocBudget pins the warm planning path itself (distinct
 // from the what-if cache hit): with query info and the path memo warm, a
 // full Optimize call (join DP included) must stay within a small allocation
-// budget — the plan clone-out plus a handful of fixed-size slices.
+// budget, and the budget must not grow with the number of DP splits: the
+// same budget covers chains of 4, 6 and 8 tables.
 func TestOptimizeWarmAllocBudget(t *testing.T) {
 	if race.Enabled {
 		t.Skip("alloc counts are not stable under -race (sync.Pool drops Puts)")
 	}
-	s, _, ds := buildEnv(t)
-	o := New(s, ds)
-	q := joinQuery()
-	cfg := catalog.NewConfiguration(&catalog.Index{Table: "fact", KeyColumns: []string{"f_dim"}, IncludedColumns: []string{"f_val"}})
-	if _, err := o.Optimize(q, cfg); err != nil {
-		t.Fatal(err)
+	type warmCase struct {
+		name string
+		o    *Optimizer
+		q    *query.Query
+		cfg  *catalog.Configuration
 	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := o.Optimize(q, cfg); err != nil {
+	s, _, ds := buildEnv(t)
+	cases := []warmCase{{"star", New(s, ds), joinQuery(),
+		catalog.NewConfiguration(&catalog.Index{Table: "fact", KeyColumns: []string{"f_dim"}, IncludedColumns: []string{"f_val"}})}}
+	for _, n := range []int{4, 6, 8} {
+		cs, cds, cq := buildChainEnv(t, n)
+		cases = append(cases, warmCase{fmt.Sprintf("chain%d", n), New(cs, cds), cq, nil})
+	}
+	for _, c := range cases {
+		if c.o.DPTableLimit < len(c.q.Tables) {
+			t.Fatalf("%s: %d tables exceed the DP limit %d", c.name, len(c.q.Tables), c.o.DPTableLimit)
+		}
+		if _, err := c.o.Optimize(c.q, c.cfg); err != nil {
 			t.Fatal(err)
 		}
-	})
-	// Warm planning clones the result tree out of the arenas (2 slabs + the
-	// Plan struct); the join DP adds a few small slices (merge-join sort
-	// keys, residual splits) that the plan's nodes keep.
-	const budget = 12
-	if allocs > budget {
-		t.Fatalf("warm Optimize allocated %.1f times per run, budget %d", allocs, budget)
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := c.o.Optimize(c.q, c.cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		// Warm planning clones the result tree out of the arenas (2 slabs +
+		// the Plan struct). Merge-join sort keys are built once per query
+		// and shared by plan nodes; join selectivities and per-table values
+		// are read once per call into reused planner scratch. What remains
+		// are small slices the plan's nodes keep (residual splits, extra
+		// join predicates), none of them per DP split on these queries.
+		const budget = 12
+		if allocs > budget {
+			t.Fatalf("%s: warm Optimize allocated %.1f times per run, budget %d", c.name, allocs, budget)
+		}
 	}
 }

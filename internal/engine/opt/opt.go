@@ -16,9 +16,11 @@
 // built around two reuse layers (DESIGN.md §12): per-query analysis is
 // cached by query identity (queryInfo), and per-table access paths are
 // memoized across configurations (pathMemo). Join ordering runs the dense
-// DP afresh on every call. All transient planning state lives in
-// per-planner arenas recycled through a sync.Pool; returned plans are
-// cloned out and never alias pooled memory.
+// DP afresh on every call, reading values that do not depend on the split
+// (join selectivities, per-table row counts and widths) from per-call
+// tables filled once. All transient planning state lives in per-planner
+// arenas recycled through a sync.Pool; returned plans are cloned out and
+// never alias pooled memory.
 package opt
 
 import (
@@ -56,10 +58,9 @@ type Optimizer struct {
 	// invalidates it automatically.
 	memo pathMemo
 
-	// qinfo caches per-query analysis (validation, table ordinals,
-	// per-table predicates and columns, join bitmasks) by query identity.
-	// Queries are immutable once built — the same contract WhatIf relies
-	// on to memoize fingerprints.
+	// qinfo caches per-query analysis (validation, fingerprint, table
+	// ordinals, per-table predicates and columns, join bitmasks and sort
+	// keys) by query identity. Queries are immutable once built.
 	qinfo sync.Map // *query.Query -> *queryInfo
 
 	// planners recycles planner arenas across Optimize calls.
@@ -77,8 +78,8 @@ func New(schema *catalog.Schema, st *stats.DatabaseStats) *Optimizer {
 	}
 }
 
-// emptyConfig backs Optimize(q, nil) so the nil-config path allocates no
-// per-call Configuration. It is never mutated.
+// emptyConfig backs Optimize(q, nil) and WhatIf.Plan(q, nil) so the
+// nil-config path allocates no per-call Configuration. It is never mutated.
 var emptyConfig = catalog.NewConfiguration()
 
 // subPlan is a partial plan during enumeration.
@@ -92,24 +93,38 @@ type subPlan struct {
 }
 
 // joinRef is one join predicate of the current query with the table
-// bitmasks of its two sides precomputed, plus a stable pointer into
-// q.Joins for attaching to plan nodes without an allocation.
+// bitmasks of its two sides precomputed, a stable pointer into q.Joins for
+// attaching to plan nodes without an allocation, and the one-column
+// merge-join sort key of each side. Plan nodes share the key slices
+// read-only, the way GroupCols shares q.GroupBy.
 type joinRef struct {
-	j      query.Join
-	ptr    *query.Join
-	lm, rm uint64
+	j          query.Join
+	ptr        *query.Join
+	lm, rm     uint64
+	lkey, rkey []query.ColRef
 }
 
 // queryInfo is the per-query analysis shared by every Optimize call for the
-// same *query.Query: validation outcome, table ordinals, per-table
-// predicate/column slices, and join bitmasks. Computing it once per query
-// (not per probe) is most of the fixed cost a what-if call used to pay.
+// same *query.Query: validation outcome, fingerprint, table ordinals,
+// per-table predicate/column slices, and join bitmasks and sort keys.
+// Computing it once per query (not per probe) is most of the fixed cost a
+// what-if call used to pay.
 type queryInfo struct {
 	err      error
+	fp       string // q.Fingerprint(), the what-if cache's query key
 	tableIdx map[string]int
 	predsOn  [][]query.Pred // by table ordinal
 	colsUsed [][]string     // by table ordinal
 	joins    []joinRef      // parallel to q.Joins
+}
+
+// indexTable returns the ordinal of ix's table in the query, or false when
+// the query does not reference that table. The planner ignores such an
+// index, so it cannot change the plan. getPlanner and the what-if cache key
+// (WhatIf.Plan) both apply this one rule.
+func (qi *queryInfo) indexTable(ix *catalog.Index) (int, bool) {
+	ti, ok := qi.tableIdx[ix.Table]
+	return ti, ok
 }
 
 // queryInfo returns the cached analysis for q, computing it on first use.
@@ -117,7 +132,7 @@ func (o *Optimizer) queryInfo(q *query.Query) *queryInfo {
 	if v, ok := o.qinfo.Load(q); ok {
 		return v.(*queryInfo)
 	}
-	qi := &queryInfo{}
+	qi := &queryInfo{fp: q.Fingerprint()}
 	if err := q.Validate(o.Schema); err != nil {
 		qi.err = err
 	} else {
@@ -135,10 +150,12 @@ func (o *Optimizer) queryInfo(q *query.Query) *queryInfo {
 		for i := range q.Joins {
 			j := &q.Joins[i]
 			qi.joins[i] = joinRef{
-				j:   *j,
-				ptr: j,
-				lm:  uint64(1) << uint(qi.tableIdx[j.LeftTable]),
-				rm:  uint64(1) << uint(qi.tableIdx[j.RightTable]),
+				j:    *j,
+				ptr:  j,
+				lm:   uint64(1) << uint(qi.tableIdx[j.LeftTable]),
+				rm:   uint64(1) << uint(qi.tableIdx[j.RightTable]),
+				lkey: []query.ColRef{{Table: j.LeftTable, Column: j.LeftColumn}},
+				rkey: []query.ColRef{{Table: j.RightTable, Column: j.RightColumn}},
 			}
 		}
 	}
@@ -166,9 +183,22 @@ type planner struct {
 	keyBuf []byte             // access-path memo key scratch
 	base   []*subPlan
 	dp     []*subPlan // dense DP table indexed by table bitmask
-	jscr   []joinRef  // joinsBetween scratch
+	jscr   []int      // joinsBetween scratch: ordinals into qi.joins
 	cands  []*subPlan // bestAccessPath candidate scratch
 	gpool  []*subPlan // greedyJoin scratch
+
+	// Per-call values the DP would otherwise look up once per split. They
+	// are read from o.Stats and o.Schema on every call, never cached
+	// across calls, so a swapped Stats is honoured.
+	jsel []float64  // JoinSelectivity by join ordinal
+	tabs []tableVal // by table ordinal
+}
+
+// tableVal holds the per-call values of one query table.
+type tableVal struct {
+	meta  *catalog.Table
+	rows  float64 // row count
+	needW float64 // width of the columns the query uses
 }
 
 func (o *Optimizer) getPlanner(q *query.Query, qi *queryInfo, cfg *catalog.Configuration) *planner {
@@ -185,9 +215,22 @@ func (o *Optimizer) getPlanner(q *query.Query, qi *queryInfo, cfg *catalog.Confi
 		p.ixsOn[i] = p.ixsOn[i][:0]
 	}
 	for _, ix := range cfg.SortedIndexes() {
-		if ti, ok := qi.tableIdx[ix.Table]; ok {
+		if ti, ok := qi.indexTable(ix); ok {
 			p.ixsOn[ti] = append(p.ixsOn[ti], ix)
 		}
+	}
+	p.jsel = p.jsel[:0]
+	for i := range qi.joins {
+		j := &qi.joins[i].j
+		p.jsel = append(p.jsel, o.Stats.JoinSelectivity(j.LeftTable, j.LeftColumn, j.RightTable, j.RightColumn))
+	}
+	p.tabs = p.tabs[:0]
+	for i, t := range q.Tables {
+		p.tabs = append(p.tabs, tableVal{
+			meta:  o.Schema.Table(t),
+			rows:  float64(o.Stats.RowCount(t)),
+			needW: p.widthOf(t, qi.colsUsed[i]),
+		})
 	}
 	return p
 }
@@ -359,18 +402,16 @@ func (p *planner) bestAccessPath(ti int) *subPlan {
 		return p.instantiate(e, mask)
 	}
 
-	meta := p.o.Schema.Table(table)
-	rows := float64(p.o.Stats.RowCount(table))
-	needW := p.widthOf(table, need)
-	outRows := rows * p.selAll(preds)
+	tv := &p.tabs[ti]
+	outRows := tv.rows * p.selAll(preds)
 
-	cands := append(p.cands[:0], p.tableScanPath(table, meta, rows, preds, outRows, needW, mask))
+	cands := append(p.cands[:0], p.tableScanPath(table, tv.meta, tv.rows, preds, outRows, tv.needW, mask))
 	for _, ix := range ixs {
 		if ix.Kind == catalog.Columnstore {
-			cands = append(cands, p.columnstorePath(table, ix, rows, preds, outRows, needW, mask))
+			cands = append(cands, p.columnstorePath(table, ix, tv.rows, preds, outRows, tv.needW, mask))
 			continue
 		}
-		if sp := p.indexPath(table, meta, ix, rows, preds, outRows, need, needW, mask); sp != nil {
+		if sp := p.indexPath(table, tv.meta, ix, tv.rows, preds, outRows, need, tv.needW, mask); sp != nil {
 			cands = append(cands, sp)
 		}
 	}
@@ -502,14 +543,15 @@ func (p *planner) indexPath(table string, meta *catalog.Table, ix *catalog.Index
 	return p.sub(subPlan{node: top, tables: mask, rows: finalRows, width: needW, cost: total})
 }
 
-// joinsBetween returns the join predicates connecting two table sets, in
-// q.Joins order, in a scratch slice valid until the next call.
-func (p *planner) joinsBetween(a, b uint64) []joinRef {
+// joinsBetween returns the ordinals (into qi.joins) of the join predicates
+// connecting two table sets, in q.Joins order, in a scratch slice valid
+// until the next call.
+func (p *planner) joinsBetween(a, b uint64) []int {
 	out := p.jscr[:0]
 	for i := range p.qi.joins {
 		jr := &p.qi.joins[i]
 		if (jr.lm&a != 0 && jr.rm&b != 0) || (jr.lm&b != 0 && jr.rm&a != 0) {
-			out = append(out, *jr)
+			out = append(out, i)
 		}
 	}
 	p.jscr = out
@@ -517,11 +559,10 @@ func (p *planner) joinsBetween(a, b uint64) []joinRef {
 }
 
 // joinSel multiplies the containment-assumption selectivities of joins.
-func (p *planner) joinSel(joins []joinRef) float64 {
+func (p *planner) joinSel(joins []int) float64 {
 	s := 1.0
-	for i := range joins {
-		j := &joins[i].j
-		s *= p.o.Stats.JoinSelectivity(j.LeftTable, j.LeftColumn, j.RightTable, j.RightColumn)
+	for _, k := range joins {
+		s *= p.jsel[k]
 	}
 	return s
 }
@@ -539,7 +580,7 @@ func (p *planner) bestJoin(a, b *subPlan) *subPlan {
 	}
 	width := a.width + b.width
 	mask := a.tables | b.tables
-	jr := joins[0]
+	jr := &p.qi.joins[joins[0]]
 	// The first join predicate drives the physical algorithm; any others
 	// are carried on the node as extra filters so the executor applies
 	// them too (all of them are already priced into outRows above). One
@@ -548,7 +589,7 @@ func (p *planner) bestJoin(a, b *subPlan) *subPlan {
 	if len(joins) > 1 {
 		extras = make([]query.Join, len(joins)-1)
 		for i := range extras {
-			extras[i] = joins[i+1].j
+			extras[i] = p.qi.joins[joins[i+1]].j
 		}
 	}
 	hasCS := a.hasCS || b.hasCS
@@ -581,13 +622,12 @@ func (p *planner) bestJoin(a, b *subPlan) *subPlan {
 
 	// Merge join: sort both inputs on their side of the join, then merge.
 	{
-		colA := query.ColRef{Table: jr.j.LeftTable, Column: jr.j.LeftColumn}
-		colB := query.ColRef{Table: jr.j.RightTable, Column: jr.j.RightColumn}
+		keyA, keyB := jr.lkey, jr.rkey
 		if a.tables&jr.lm == 0 {
-			colA, colB = colB, colA
+			keyA, keyB = keyB, keyA
 		}
-		sortA := p.sortNode(a, []query.ColRef{colA})
-		sortB := p.sortNode(b, []query.ColRef{colB})
+		sortA := p.sortNode(a, keyA)
+		sortB := p.sortNode(b, keyB)
 		n := p.node(plan.Node{Op: plan.MergeJoin, Mode: mode, Join: jr.ptr, ExtraJoins: extras})
 		n.Children = p.child2(sortA.node, sortB.node)
 		c := p.annotate(n, cost.Args{
@@ -633,55 +673,67 @@ func (p *planner) sortNode(in *subPlan, cols []query.ColRef) *subPlan {
 	return p.sub(subPlan{node: n, tables: in.tables, rows: in.rows, width: in.width, cost: in.cost + c, hasCS: in.hasCS})
 }
 
+// probes reports whether an index nested-loop join can probe ix on col:
+// ix must be a B+ tree whose leading key column is col.
+func probes(ix *catalog.Index, col string) bool {
+	return ix.Kind == catalog.BTree && len(ix.KeyColumns) > 0 && ix.KeyColumns[0] == col
+}
+
 // indexNLJ builds an index nested-loop join with outer driving per-row
 // probes into a base-table index on the inner side.
-func (p *planner) indexNLJ(outer, inner *subPlan, joins []joinRef, outRows, width float64) *subPlan {
+func (p *planner) indexNLJ(outer, inner *subPlan, joins []int, outRows, width float64) *subPlan {
 	// Inner must be exactly one base table.
 	if inner.tables&(inner.tables-1) != 0 {
 		return nil
 	}
 	ti := bits.TrailingZeros64(inner.tables)
 	table := p.q.Tables[ti]
-	meta := p.o.Schema.Table(table)
-	rows := float64(p.o.Stats.RowCount(table))
-	need := p.qi.colsUsed[ti]
-	needW := p.widthOf(table, need)
 
 	// Find the join column on the inner side. The chosen join drives the
 	// probes; the remaining predicates ride on the node as extra filters
 	// (they are priced into outRows by the caller).
 	var joinCol string
-	var jp *query.Join
 	ji := -1
-	for i := range joins {
-		if c := joins[i].j.ColumnFor(table); c != "" {
-			joinCol, jp, ji = c, joins[i].ptr, i
+	for i, k := range joins {
+		if c := p.qi.joins[k].j.ColumnFor(table); c != "" {
+			joinCol, ji = c, i
 			break
 		}
 	}
 	if joinCol == "" {
 		return nil
 	}
+	ixs := p.ixsOn[ti]
+	for len(ixs) > 0 && !probes(ixs[0], joinCol) {
+		ixs = ixs[1:]
+	}
+	if len(ixs) == 0 {
+		return nil // no index to probe: skip building the extras
+	}
+	jp := p.qi.joins[joins[ji]].ptr
+	perProbeSel := p.jsel[joins[ji]]
 	var extras []query.Join
 	if len(joins) > 1 {
 		extras = make([]query.Join, 0, len(joins)-1)
-		for i := range joins {
+		for i, k := range joins {
 			if i != ji {
-				extras = append(extras, joins[i].j)
+				extras = append(extras, p.qi.joins[k].j)
 			}
 		}
 	}
+	tv := &p.tabs[ti]
+	meta, rows, needW := tv.meta, tv.rows, tv.needW
+	need := p.qi.colsUsed[ti]
+	preds := p.qi.predsOn[ti]
 	mode := plan.Row
 	if outer.hasCS {
 		mode = plan.Batch
 	}
 	var best *subPlan
-	for _, ix := range p.ixsOn[ti] {
-		if ix.Kind != catalog.BTree || len(ix.KeyColumns) == 0 || ix.KeyColumns[0] != joinCol {
+	for _, ix := range ixs {
+		if !probes(ix, joinCol) {
 			continue
 		}
-		preds := p.qi.predsOn[ti]
-		perProbeSel := p.o.Stats.JoinSelectivity(jp.LeftTable, jp.LeftColumn, jp.RightTable, jp.RightColumn)
 		fetched := outer.rows * rows * perProbeSel // total rows fetched across probes
 		var covRes, uncovRes []query.Pred
 		for _, pr := range preds {

@@ -30,14 +30,23 @@ var (
 const whatIfShards = 16
 
 // WhatIf wraps an Optimizer with a plan cache keyed by (query fingerprint,
-// configuration fingerprint). Index tuners probe the same hypothetical
-// configurations for many queries and the same query under many
-// configurations; caching keeps the search cheap, mirroring the
-// optimizer-call caching of production tuners.
+// fingerprint of the configuration's indexes the query can use). Index
+// tuners probe the same hypothetical configurations for many queries and
+// the same query under many configurations; caching keeps the search
+// cheap, mirroring the optimizer-call caching of production tuners.
 //
 // The cache key includes the query's full fingerprint (constants included):
 // two distinct queries that merely share a Name never receive each other's
-// plans. It is safe for concurrent use: the cache is sharded to cut lock
+// plans. Its configuration half drops indexes on tables the query does not
+// reference, by the same rule the planner uses to ignore them (Chaudhuri
+// and Narasayya: a plan depends only on the indexes relevant to its
+// query), so configurations that differ only in such indexes share one
+// plan. A hit for a configuration whose full fingerprint differs from the
+// cached plan's ConfigFP returns a shallow copy that shares Root and
+// carries the caller's ConfigFP, so the plan always names the
+// configuration it was asked for.
+//
+// It is safe for concurrent use: the cache is sharded to cut lock
 // contention, and concurrent misses on the same key are deduplicated
 // singleflight-style so Optimize runs once per key, not once per caller.
 type WhatIf struct {
@@ -52,10 +61,6 @@ type WhatIf struct {
 	shards [whatIfShards]whatIfShard
 	calls  atomic.Int64
 	hits   atomic.Int64
-
-	// qfp memoizes query fingerprints by query identity: fingerprints are
-	// pure functions of the (immutable) query, so they survive Reset.
-	qfp sync.Map // *query.Query -> string
 }
 
 type whatIfShard struct {
@@ -96,17 +101,6 @@ func NewWhatIfBounded(o *Optimizer, maxEntries int) *WhatIf {
 	return w
 }
 
-// queryFingerprint returns q's full fingerprint, memoized by pointer so hot
-// cache hits do not re-render the SQL.
-func (w *WhatIf) queryFingerprint(q *query.Query) string {
-	if fp, ok := w.qfp.Load(q); ok {
-		return fp.(string)
-	}
-	fp := q.Fingerprint()
-	w.qfp.Store(q, fp)
-	return fp
-}
-
 func (w *WhatIf) shardFor(key whatIfKey) *whatIfShard {
 	h := fnv.New32a()
 	h.Write([]byte(key.queryFP))
@@ -120,11 +114,12 @@ func (w *WhatIf) shardFor(key whatIfKey) *whatIfShard {
 // returned plan's estimate annotations. (The executor clones plans before
 // filling actuals.) Plan is safe to call from many goroutines.
 func (w *WhatIf) Plan(q *query.Query, cfg *catalog.Configuration) (*plan.Plan, error) {
-	fp := ""
-	if cfg != nil {
-		fp = cfg.Fingerprint()
+	if cfg == nil {
+		cfg = emptyConfig
 	}
-	key := whatIfKey{queryFP: w.queryFingerprint(q), configFP: fp}
+	qi := w.Opt.queryInfo(q)
+	usable := func(ix *catalog.Index) bool { _, ok := qi.indexTable(ix); return ok }
+	key := whatIfKey{queryFP: qi.fp, configFP: cfg.FingerprintOf(usable)}
 	sh := w.shardFor(key)
 	w.calls.Add(1)
 
@@ -144,6 +139,13 @@ func (w *WhatIf) Plan(q *query.Query, cfg *catalog.Configuration) (*plan.Plan, e
 			return nil, e.err
 		}
 		w.hits.Add(1)
+		if fp := cfg.Fingerprint(); fp != e.p.ConfigFP {
+			// Planned under a configuration that differs from cfg only in
+			// indexes the query does not use: same plan, cfg's name.
+			cp := *e.p
+			cp.ConfigFP = fp
+			return &cp, nil
+		}
 		return e.p, nil
 	}
 	e := &whatIfEntry{done: make(chan struct{})}

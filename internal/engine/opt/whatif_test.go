@@ -2,6 +2,8 @@ package opt
 
 import (
 	"fmt"
+	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -183,15 +185,19 @@ func cacheEntries(w *WhatIf) int {
 }
 
 // TestWhatIfDuplicateConfigs: two configurations with the same fingerprint
-// are planned once and share the cache entry.
+// are planned once and share the cache entry. So is a configuration that
+// adds only an index on a table the query does not reference: the cache
+// key keeps just the indexes the query can use. Its plan shares the cached
+// tree and estimates but names its own configuration.
 func TestWhatIfDuplicateConfigs(t *testing.T) {
 	s, _, ds := buildEnv(t)
 	w := NewWhatIf(New(s, ds))
-	q := pointQuery()
+	q := pointQuery() // reads only fact
 	a := catalog.NewConfiguration(&catalog.Index{Table: "fact", KeyColumns: []string{"f_date"}})
 	b := catalog.NewConfiguration(&catalog.Index{Table: "fact", KeyColumns: []string{"f_date"}})
+	withDim := a.Clone().Add(&catalog.Index{Table: "dim", KeyColumns: []string{"d_cat"}})
 	var plans []*plan.Plan
-	for _, cfg := range []*catalog.Configuration{a, b, a} {
+	for _, cfg := range []*catalog.Configuration{a, b, a, withDim} {
 		p, err := w.Plan(q, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -202,8 +208,24 @@ func TestWhatIfDuplicateConfigs(t *testing.T) {
 		t.Fatal("configurations with one fingerprint must share one cached plan")
 	}
 	calls, hits := w.Stats()
-	if calls != 3 || hits != 2 {
-		t.Fatalf("stats: calls=%d hits=%d, want 3/2", calls, hits)
+	if calls != 4 || hits != 3 {
+		t.Fatalf("stats: calls=%d hits=%d, want 4/3", calls, hits)
+	}
+	if n := cacheEntries(w); n != 1 {
+		t.Fatalf("cache holds %d entries, want 1", n)
+	}
+	dimPlan := plans[3]
+	if dimPlan.Root != plans[0].Root {
+		t.Fatal("an index on an unreferenced table must not re-plan the query")
+	}
+	if math.Float64bits(dimPlan.EstTotalCost) != math.Float64bits(plans[0].EstTotalCost) {
+		t.Fatalf("estimate changed: %v vs %v", dimPlan.EstTotalCost, plans[0].EstTotalCost)
+	}
+	if dimPlan.ConfigFP != withDim.Fingerprint() || plans[0].ConfigFP != a.Fingerprint() {
+		t.Fatalf("ConfigFP %q / %q, want %q / %q", dimPlan.ConfigFP, plans[0].ConfigFP, withDim.Fingerprint(), a.Fingerprint())
+	}
+	if want := fmt.Sprintf("config %q)", withDim.Fingerprint()); !strings.Contains(dimPlan.String(), want) {
+		t.Fatalf("plan header does not name its configuration %s:\n%s", want, dimPlan)
 	}
 }
 

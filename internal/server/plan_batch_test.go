@@ -100,3 +100,39 @@ func TestPlanBatchEndpoint(t *testing.T) {
 		t.Fatalf("a cancelled request made %d what-if calls, want at most 1", calls1-calls0)
 	}
 }
+
+// TestPlanNamesUnreferencedIndexes: a configuration that adds an index on a
+// table the query does not read shares the what-if cache entry of the
+// configuration without it, yet POST /v1/plan answers byte for byte what a
+// cold server answers for it, plan header included.
+func TestPlanNamesUnreferencedIndexes(t *testing.T) {
+	post := func(s *Server, indexes string) string {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		body := `{"query":"q6","indexes":` + indexes + `}` // q6 reads lineitem only
+		s.handlePlan(rec, httptest.NewRequest(http.MethodPost, "/v1/plan", strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: %d %s", body, rec.Code, rec.Body)
+		}
+		return rec.Body.String()
+	}
+	const lineitem = `[{"table":"lineitem","key":["l_shipdate"]}]`
+	const withOrders = `[{"table":"lineitem","key":["l_shipdate"]},{"table":"orders","key":["o_date"]}]`
+	warm := newTestServer(t, nil)
+	post(warm, lineitem)
+	calls0, hits0 := warm.cfg.WhatIf.Stats()
+	got := post(warm, withOrders)
+	if calls, hits := warm.cfg.WhatIf.Stats(); calls-calls0 != 1 || hits-hits0 != 1 {
+		t.Fatalf("the orders index re-planned q6: %d calls, %d hits", calls-calls0, hits-hits0)
+	}
+	if want := post(newTestServer(t, nil), withOrders); got != want {
+		t.Fatalf("cache-shared plan body differs from a cold plan:\n%s\nvs\n%s", got, want)
+	}
+	var resp planResponse
+	if err := json.Unmarshal([]byte(got), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(resp.Plan, `config "lineitem/bt(l_shipdate);orders/bt(o_date)"`) {
+		t.Fatalf("plan header does not name its configuration:\n%s", resp.Plan)
+	}
+}

@@ -14,7 +14,7 @@ var (
 // (query.TemplateHash, the same grouping SplitQuery uses for train/test
 // splits): all parameterizations of one template collapse into the
 // first-seen representative, whose weight becomes the group's total weight
-// (queries with weight <= 0 count as 1, matching workloadCost). Order is
+// (queries with weight <= 0 count as 1, matching weightedCost). Order is
 // first-seen, so tuning a compressed workload visits templates in the same
 // order as the full one and — on duplicate-heavy workloads — produces the
 // same recommendation for a fraction of the what-if probes.

@@ -433,8 +433,9 @@ type WorkloadRecommendation struct {
 // every other query keeps its plan from curPlans. That is exact, not an
 // approximation: the optimizer ignores indexes on tables a query does not
 // reference, so an untouched query's plan under cfg carries the same
-// estimates as its plan in curPlans, and the gate — a pure function of the
-// plan pair — already accepted that plan. ok is false when some touched
+// estimates as its plan in curPlans, and that plan is either the query's
+// initial plan, which is never gated, or one the gate — a pure function of
+// the plan pair — already accepted. ok is false when some touched
 // query is predicted to regress. The touched plans are probed in parallel;
 // the gate and the weighted sum run serially in query order, so the result
 // (including float summation order) matches re-planning every query. On
@@ -462,6 +463,13 @@ func (t *Tuner) workloadCost(ctx context.Context, qs []*query.Query, initPlans, 
 			return nil, 0, false, nil
 		}
 	}
+	return plans, weightedCost(qs, plans), true, nil
+}
+
+// weightedCost sums the weighted estimated costs of the queries' plans in
+// query order (a weight <= 0 counts as 1), so every caller gets the same
+// float bits for the same plans.
+func weightedCost(qs []*query.Query, plans []*plan.Plan) float64 {
 	var total float64
 	for i, q := range qs {
 		w := q.Weight
@@ -470,7 +478,7 @@ func (t *Tuner) workloadCost(ctx context.Context, qs []*query.Query, initPlans, 
 		}
 		total += w * plans[i].EstTotalCost
 	}
-	return plans, total, true, nil
+	return total
 }
 
 // TuneWorkload runs the two-phase search of §5: query-level search derives
@@ -533,9 +541,7 @@ func (t *Tuner) TuneWorkload(ctx context.Context, qs []*query.Query, c0 *catalog
 	// each table to the (deduplicated, ascending) indexes of the queries
 	// referencing it: the only queries an index on that table can re-plan.
 	touches := map[string][]int{}
-	all := make([]int, len(qs))
 	for i, q := range qs {
-		all[i] = i
 		for _, tb := range q.Tables {
 			if idx := touches[tb]; len(idx) == 0 || idx[len(idx)-1] != i {
 				touches[tb] = append(idx, i)
@@ -543,14 +549,10 @@ func (t *Tuner) TuneWorkload(ctx context.Context, qs []*query.Query, c0 *catalog
 		}
 	}
 	calls0, hits0 := t.WhatIf.Stats()
-	cur := c0
-	curPlans, curCost, ok, err := t.workloadCost(ctx, qs, initPlans, initPlans, all, c0)
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return nil, fmt.Errorf("tuner: initial configuration rejected by its own gate")
-	}
+	// The search starts from the initial plans themselves. They are not
+	// gated: comparing a plan with itself carries no information, and a
+	// classifier that calls such a pair a regression must not fail the job.
+	cur, curPlans, curCost := c0, initPlans, weightedCost(qs, initPlans)
 	baseCost := curCost
 	for len(cur.Diff(c0)) < t.Opts.MaxNewIndexes {
 		if err := ctx.Err(); err != nil {

@@ -138,6 +138,15 @@ func TestComparatorGatesSearch(t *testing.T) {
 	if len(rec.NewIndexes) != 0 {
 		t.Fatal("veto comparator should block all changes")
 	}
+	// The workload search starts from the initial plans without gating
+	// them against themselves, so the veto freezes it rather than failing.
+	wrec, err := tn.TuneWorkload(context.Background(), e.w.Queries[:6], nil)
+	if err != nil {
+		t.Fatalf("veto comparator failed the workload search: %v", err)
+	}
+	if len(wrec.NewIndexes) != 0 {
+		t.Fatal("veto comparator should block all workload changes")
+	}
 	// A comparator that calls everything an improvement lets the tuner
 	// advance freely.
 	accept := comparatorFunc(func() expdata.Label { return expdata.Improvement })
