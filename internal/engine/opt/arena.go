@@ -2,13 +2,15 @@ package opt
 
 import "repro/internal/engine/plan"
 
-// Planning allocates hundreds of short-lived objects per Optimize call:
-// plan nodes for every candidate access path and join alternative, child
-// slices, and subPlan headers. All of them die when the winning plan is
-// cloned out at the plan boundary, so the planner carves them out of
-// chunked arenas owned by the (pooled) planner and resets the arenas
-// between calls instead of paying the allocator and the garbage collector
-// per object.
+// Planning allocates many short-lived objects per Optimize call: plan
+// nodes for every candidate access path and for the returned plan's joins,
+// aggregation and parallel alternative, child slices, and subPlan headers
+// (one join recipe per DP table set). Join alternatives themselves are
+// costed without nodes (planner.bestJoin). All of these die when the
+// winning plan is cloned out at the plan boundary, so the planner carves
+// them out of chunked arenas owned by the (pooled) planner and resets the
+// arenas between calls instead of paying the allocator and the garbage
+// collector per object.
 //
 // Chunking (rather than one growable slice) keeps every handed-out pointer
 // stable: appending a new chunk never moves previously allocated objects,

@@ -42,10 +42,10 @@ type memoEntry struct {
 
 // pathMemo caches bestAccessPath results per optimizer. Everything an
 // access path depends on is either in the key (table, ordered predicate
-// signature with constants, columns used, IDs of the indexes on the table)
-// or guarded by the generation pointers (statistics and cost model): when
-// o.Stats or o.Model is swapped the whole memo is invalidated. The zero
-// value is ready to use.
+// signature with constants, columns used, IDs of the table's indexes
+// relevant to the query) or guarded by the generation pointers (statistics
+// and cost model): when o.Stats or o.Model is swapped the whole memo is
+// invalidated. The zero value is ready to use.
 type pathMemo struct {
 	mu      sync.Mutex
 	entries map[string]*memoEntry

@@ -14,19 +14,23 @@
 //
 // Planning is the hot path of every what-if probe, so the implementation is
 // built around two reuse layers (DESIGN.md §12): per-query analysis is
-// cached by query identity (queryInfo), and per-table access paths are
-// memoized across configurations (pathMemo). Join ordering runs the dense
-// DP afresh on every call, reading values that do not depend on the split
-// (join selectivities, per-table row counts and widths) from per-call
-// tables filled once. All transient planning state lives in per-planner
-// arenas recycled through a sync.Pool; returned plans are cloned out and
-// never alias pooled memory.
+// cached once per distinct query (queryInfo), and per-table access paths
+// are memoized across configurations (pathMemo). Join ordering runs the
+// dense DP afresh on every call. It costs every join alternative from its
+// cost.Args without building a node, keeps the cheapest as a recipe per
+// table set, and builds nodes only for the plan it returns (build). Values
+// that do not depend on the split (join selectivities, per-table row counts
+// and widths, per-(table, index) selectivities and widths) come from
+// per-call tables filled once. All transient planning state lives in
+// per-planner arenas recycled through a sync.Pool; returned plans are
+// cloned out and never alias pooled memory.
 package opt
 
 import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"repro/internal/engine/catalog"
@@ -58,9 +62,13 @@ type Optimizer struct {
 	// invalidates it automatically.
 	memo pathMemo
 
-	// qinfo caches per-query analysis (validation, fingerprint, table
+	// byFP holds one per-query analysis (validation, fingerprint, table
 	// ordinals, per-table predicates and columns, join bitmasks and sort
-	// keys) by query identity. Queries are immutable once built.
+	// keys) per distinct query fingerprint. qinfo is the pointer fast path
+	// to it, kept only for the first *query.Query seen per fingerprint, so
+	// a client that re-parses one SQL text per request adds no entry.
+	// Queries are immutable once built.
+	byFP  sync.Map // fingerprint -> *queryInfo
 	qinfo sync.Map // *query.Query -> *queryInfo
 
 	// planners recycles planner arenas across Optimize calls.
@@ -82,14 +90,73 @@ func New(schema *catalog.Schema, st *stats.DatabaseStats) *Optimizer {
 // nil-config path allocates no per-call Configuration. It is never mutated.
 var emptyConfig = catalog.NewConfiguration()
 
-// subPlan is a partial plan during enumeration.
+// subPlan is a partial plan during enumeration. An access path carries its
+// built node. A join is a recipe until build makes its nodes: the
+// algorithm, the two inputs, the join predicate that drives it and, for an
+// index nested-loop join, the probed index. Only the recipes of the plan
+// Optimize returns are ever built.
 type subPlan struct {
-	node   *plan.Node
-	tables uint64  // bitmask over query table ordinals
-	rows   float64 // estimated output rows
-	width  float64 // estimated output row width in bytes
-	cost   float64 // cumulative estimated cost
-	hasCS  bool    // subtree contains a columnstore scan (batch eligible)
+	node   *plan.Node // nil for a join not yet built
+	tables uint64     // bitmask over query table ordinals
+	rows   float64    // estimated output rows
+	width  float64    // estimated output row width in bytes
+	cost   float64    // cumulative estimated cost
+	hasCS  bool       // subtree contains a columnstore scan (batch eligible)
+
+	alg         joinAlg
+	left, right *subPlan  // the inputs, in the order joinAlg names them
+	join        int       // ordinal into qi.joins of the driving join
+	probe       *probeVal // index NLJ: the inner table's probed index
+}
+
+// joinAlg is the physical algorithm of a join recipe.
+type joinAlg uint8
+
+const (
+	hashJoin       joinAlg = iota // left probes, right builds
+	mergeJoin                     // left and right each sorted on the join
+	indexNLJoin                   // left drives probes into right's index
+	nestedLoopJoin                // left is the outer, right a tiny inner
+)
+
+// joinArgs returns the cost.Args of the top node of a join with inputs l
+// and r producing rows rows. Costing and build both take them from here.
+func joinArgs(alg joinAlg, l, r *subPlan, rows float64) cost.Args {
+	switch alg {
+	case hashJoin, mergeJoin:
+		return cost.Args{RowsIn: l.rows, RowsIn2: r.rows, RowsOut: rows, Bytes: l.rows*l.width + r.rows*r.width}
+	case indexNLJoin:
+		// Costed like the plain NLJ but on the probes branch: one probe per
+		// outer row (the seek below charges the tree descent; Height 1
+		// here charges only the per-probe join overhead). RowsIn2 carries
+		// the inner-side cardinality for symmetry with plain NLJ.
+		return cost.Args{RowsIn: l.rows, RowsIn2: r.rows, RowsOut: rows, Probes: l.rows, Height: 1}
+	default:
+		return cost.Args{RowsIn: l.rows, RowsIn2: r.rows, RowsOut: rows, Bytes: r.rows * r.width}
+	}
+}
+
+// joinOp returns the operator and execution mode of a join's top node. A
+// plain nested-loop join always runs in row mode.
+func joinOp(alg joinAlg, hasCS bool) (plan.Op, plan.Mode) {
+	switch alg {
+	case hashJoin:
+		return plan.HashJoin, modeOf(hasCS)
+	case mergeJoin:
+		return plan.MergeJoin, modeOf(hasCS)
+	case indexNLJoin:
+		return plan.NestedLoopJoin, modeOf(hasCS)
+	default:
+		return plan.NestedLoopJoin, plan.Row
+	}
+}
+
+// modeOf returns the execution mode of an operator over a subtree.
+func modeOf(hasCS bool) plan.Mode {
+	if hasCS {
+		return plan.Batch
+	}
+	return plan.Row
 }
 
 // joinRef is one join predicate of the current query with the table
@@ -104,63 +171,123 @@ type joinRef struct {
 	lkey, rkey []query.ColRef
 }
 
-// queryInfo is the per-query analysis shared by every Optimize call for the
-// same *query.Query: validation outcome, fingerprint, table ordinals,
-// per-table predicate/column slices, and join bitmasks and sort keys.
-// Computing it once per query (not per probe) is most of the fixed cost a
-// what-if call used to pay.
+// queryInfo is the per-query analysis shared by every Optimize call for
+// queries with one fingerprint: validation outcome, fingerprint, table
+// ordinals, per-table predicate/column slices, and join bitmasks and sort
+// keys. Computing it once per query (not per probe) is most of the fixed
+// cost a what-if call used to pay.
 type queryInfo struct {
 	err      error
 	fp       string // q.Fingerprint(), the what-if cache's query key
 	tableIdx map[string]int
 	predsOn  [][]query.Pred // by table ordinal
 	colsUsed [][]string     // by table ordinal
+	predCols [][]string     // by table ordinal: columns with a predicate
+	joinCols [][]string     // by table ordinal: columns in a join
 	joins    []joinRef      // parallel to q.Joins
 }
 
 // indexTable returns the ordinal of ix's table in the query, or false when
-// the query does not reference that table. The planner ignores such an
-// index, so it cannot change the plan. getPlanner and the what-if cache key
-// (WhatIf.Plan) both apply this one rule.
+// ix cannot change the query's plan. getPlanner, the what-if cache key
+// (WhatIf.Plan) and the workload greedy's touched sets (Relevant) all
+// apply this one rule:
+//
+//   - an index on a table the query does not reference is never read;
+//   - a columnstore always yields an access path;
+//   - the planner reads a B+ tree in two places only. indexPath seeks it
+//     on a predicate over its leading key column, or scans it when it
+//     covers every column the query uses from the table. indexNLJ probes
+//     it on a join column that leads its key.
+//
+// A planner change that reads a B+ tree anywhere else, such as its order
+// in a stream aggregate or a merge join over an index scan, must widen
+// this rule in the same change.
 func (qi *queryInfo) indexTable(ix *catalog.Index) (int, bool) {
 	ti, ok := qi.tableIdx[ix.Table]
-	return ti, ok
+	if !ok || ix.Kind == catalog.Columnstore {
+		return ti, ok
+	}
+	if len(ix.KeyColumns) > 0 {
+		lead := ix.KeyColumns[0]
+		if slices.Contains(qi.predCols[ti], lead) || slices.Contains(qi.joinCols[ti], lead) {
+			return ti, true
+		}
+	}
+	return ti, ix.CoversAll(qi.colsUsed[ti])
 }
 
-// queryInfo returns the cached analysis for q, computing it on first use.
+// Relevant reports whether ix can change q's plan, by the rule of
+// queryInfo.indexTable: q plans the same under a configuration with or
+// without an index that is not relevant to it.
+func (o *Optimizer) Relevant(q *query.Query, ix *catalog.Index) bool {
+	_, ok := o.queryInfo(q).indexTable(ix)
+	return ok
+}
+
+// queryInfo returns the analysis for q, computing it the first time q's
+// fingerprint is seen.
 func (o *Optimizer) queryInfo(q *query.Query) *queryInfo {
 	if v, ok := o.qinfo.Load(q); ok {
 		return v.(*queryInfo)
 	}
-	qi := &queryInfo{fp: q.Fingerprint()}
+	fp := q.Fingerprint()
+	if v, ok := o.byFP.Load(fp); ok {
+		return v.(*queryInfo)
+	}
+	v, loaded := o.byFP.LoadOrStore(fp, o.analyze(q, fp))
+	if !loaded {
+		o.qinfo.Store(q, v)
+	}
+	return v.(*queryInfo)
+}
+
+// analyze computes the per-query analysis of q.
+func (o *Optimizer) analyze(q *query.Query, fp string) *queryInfo {
+	qi := &queryInfo{fp: fp}
 	if err := q.Validate(o.Schema); err != nil {
 		qi.err = err
-	} else {
-		qi.tableIdx = make(map[string]int, len(q.Tables))
-		for i, t := range q.Tables {
-			qi.tableIdx[t] = i
-		}
-		qi.predsOn = make([][]query.Pred, len(q.Tables))
-		qi.colsUsed = make([][]string, len(q.Tables))
-		for i, t := range q.Tables {
-			qi.predsOn[i] = q.PredsOn(t)
-			qi.colsUsed[i] = q.ColumnsUsed(t)
-		}
-		qi.joins = make([]joinRef, len(q.Joins))
-		for i := range q.Joins {
-			j := &q.Joins[i]
-			qi.joins[i] = joinRef{
-				j:    *j,
-				ptr:  j,
-				lm:   uint64(1) << uint(qi.tableIdx[j.LeftTable]),
-				rm:   uint64(1) << uint(qi.tableIdx[j.RightTable]),
-				lkey: []query.ColRef{{Table: j.LeftTable, Column: j.LeftColumn}},
-				rkey: []query.ColRef{{Table: j.RightTable, Column: j.RightColumn}},
-			}
+		return qi
+	}
+	qi.tableIdx = make(map[string]int, len(q.Tables))
+	for i, t := range q.Tables {
+		qi.tableIdx[t] = i
+	}
+	nt := len(q.Tables)
+	qi.predsOn = make([][]query.Pred, nt)
+	qi.colsUsed = make([][]string, nt)
+	qi.predCols = make([][]string, nt)
+	qi.joinCols = make([][]string, nt)
+	for i, t := range q.Tables {
+		qi.predsOn[i] = q.PredsOn(t)
+		qi.colsUsed[i] = q.ColumnsUsed(t)
+		for _, pr := range qi.predsOn[i] {
+			qi.predCols[i] = addCol(qi.predCols[i], pr.Column)
 		}
 	}
-	actual, _ := o.qinfo.LoadOrStore(q, qi)
-	return actual.(*queryInfo)
+	qi.joins = make([]joinRef, len(q.Joins))
+	for i := range q.Joins {
+		j := &q.Joins[i]
+		lt, rt := qi.tableIdx[j.LeftTable], qi.tableIdx[j.RightTable]
+		qi.joins[i] = joinRef{
+			j:    *j,
+			ptr:  j,
+			lm:   uint64(1) << uint(lt),
+			rm:   uint64(1) << uint(rt),
+			lkey: []query.ColRef{{Table: j.LeftTable, Column: j.LeftColumn}},
+			rkey: []query.ColRef{{Table: j.RightTable, Column: j.RightColumn}},
+		}
+		qi.joinCols[lt] = addCol(qi.joinCols[lt], j.LeftColumn)
+		qi.joinCols[rt] = addCol(qi.joinCols[rt], j.RightColumn)
+	}
+	return qi
+}
+
+// addCol appends col to cols unless cols already holds it.
+func addCol(cols []string, col string) []string {
+	if slices.Contains(cols, col) {
+		return cols
+	}
+	return append(cols, col)
 }
 
 // planner carries per-query planning state. Planners are pooled: all
@@ -190,15 +317,31 @@ type planner struct {
 	// Per-call values the DP would otherwise look up once per split. They
 	// are read from o.Stats and o.Schema on every call, never cached
 	// across calls, so a swapped Stats is honoured.
-	jsel []float64  // JoinSelectivity by join ordinal
-	tabs []tableVal // by table ordinal
+	jsel  []float64  // JoinSelectivity by join ordinal
+	tabs  []tableVal // by table ordinal
+	pvals []probeVal // every table's probeable indexes; see tableVal
 }
 
 // tableVal holds the per-call values of one query table.
 type tableVal struct {
-	meta  *catalog.Table
-	rows  float64 // row count
-	needW float64 // width of the columns the query uses
+	meta     *catalog.Table
+	rows     float64 // row count
+	needW    float64 // width of the columns the query uses
+	rowW     float64 // full row width
+	height   float64 // estimated B+ tree height
+	plo, phi int     // the table's probeable indexes are pvals[plo:phi]
+}
+
+// probeVal holds the values of one (table, B+ tree) pair that indexNLJ
+// reads on every split: one per B+ tree whose leading key column is a join
+// column of its table, in configuration order.
+type probeVal struct {
+	ix       *catalog.Index
+	covSel   float64 // selectivity of the table's predicates ix covers
+	uncovSel float64 // and of the ones it does not, each in predicate order
+	width    float64 // index entry width
+	covers   bool    // ix covers every column the query uses from the table
+	uncov    bool    // some predicate on the table is not covered
 }
 
 func (o *Optimizer) getPlanner(q *query.Query, qi *queryInfo, cfg *catalog.Configuration) *planner {
@@ -225,14 +368,47 @@ func (o *Optimizer) getPlanner(q *query.Query, qi *queryInfo, cfg *catalog.Confi
 		p.jsel = append(p.jsel, o.Stats.JoinSelectivity(j.LeftTable, j.LeftColumn, j.RightTable, j.RightColumn))
 	}
 	p.tabs = p.tabs[:0]
+	p.pvals = p.pvals[:0]
 	for i, t := range q.Tables {
+		meta := o.Schema.Table(t)
+		rows := float64(o.Stats.RowCount(t))
+		lo := len(p.pvals)
+		for _, ix := range p.ixsOn[i] {
+			if ix.Kind == catalog.BTree && len(ix.KeyColumns) > 0 && slices.Contains(qi.joinCols[i], ix.KeyColumns[0]) {
+				p.pvals = append(p.pvals, p.probeValOf(t, ix, qi.predsOn[i], qi.colsUsed[i]))
+			}
+		}
 		p.tabs = append(p.tabs, tableVal{
-			meta:  o.Schema.Table(t),
-			rows:  float64(o.Stats.RowCount(t)),
-			needW: p.widthOf(t, qi.colsUsed[i]),
+			meta:   meta,
+			rows:   rows,
+			needW:  p.widthOf(t, qi.colsUsed[i]),
+			rowW:   float64(meta.RowWidth()),
+			height: estHeight(rows),
+			plo:    lo,
+			phi:    len(p.pvals),
 		})
 	}
 	return p
+}
+
+// probeValOf computes the values indexNLJ reads for B+ tree ix on table.
+func (p *planner) probeValOf(table string, ix *catalog.Index, preds []query.Pred, need []string) probeVal {
+	pv := probeVal{
+		ix:       ix,
+		covSel:   1,
+		uncovSel: 1,
+		width:    p.widthOf(table, ix.KeyColumns) + p.widthOf(table, ix.IncludedColumns) + 8,
+		covers:   ix.CoversAll(need),
+	}
+	for _, pr := range preds {
+		if ix.Covers(pr.Column) {
+			pv.covSel *= p.selOf(pr)
+		} else {
+			pv.uncovSel *= p.selOf(pr)
+			pv.uncov = true
+		}
+	}
+	return pv
 }
 
 func (o *Optimizer) putPlanner(p *planner) {
@@ -295,7 +471,7 @@ func (p *planner) optimize() (*plan.Plan, error) {
 	}
 	p.base = base
 
-	// Phase 2: join ordering.
+	// Phase 2: join ordering, then the nodes of the winning join tree.
 	var joined *subPlan
 	switch {
 	case len(base) == 1:
@@ -308,6 +484,7 @@ func (p *planner) optimize() (*plan.Plan, error) {
 	if joined == nil {
 		return nil, fmt.Errorf("opt: no join order found for query %s", q.Name)
 	}
+	p.build(joined)
 
 	// Phase 3: aggregation, ordering, top.
 	final := p.addAggregation(joined)
@@ -567,80 +744,46 @@ func (p *planner) joinSel(joins []int) float64 {
 	return s
 }
 
-// bestJoin combines two subplans with the cheapest join algorithm, or nil
-// when no join predicate connects them (cross products are not planned).
-func (p *planner) bestJoin(a, b *subPlan) *subPlan {
+// bestJoin costs every way to join a and b from its cost.Args, builds no
+// node, and returns the cheapest as a recipe. It tries hash, merge over two
+// sorts, an index nested-loop join per probeable index in each direction,
+// and a plain nested-loop join for a tiny inner, in that order; a later
+// alternative wins only when strictly cheaper. ok is false when no join
+// predicate connects a and b (cross products are not planned).
+func (p *planner) bestJoin(a, b *subPlan) (best subPlan, ok bool) {
 	joins := p.joinsBetween(a.tables, b.tables)
 	if len(joins) == 0 {
-		return nil
+		return best, false
 	}
 	outRows := a.rows * b.rows * p.joinSel(joins)
 	if outRows < 1 {
 		outRows = 1
 	}
-	width := a.width + b.width
-	mask := a.tables | b.tables
-	jr := &p.qi.joins[joins[0]]
 	// The first join predicate drives the physical algorithm; any others
-	// are carried on the node as extra filters so the executor applies
-	// them too (all of them are already priced into outRows above). One
-	// heap slice is shared by every candidate node of this bestJoin call.
-	var extras []query.Join
-	if len(joins) > 1 {
-		extras = make([]query.Join, len(joins)-1)
-		for i := range extras {
-			extras[i] = p.qi.joins[joins[i+1]].j
-		}
-	}
-	hasCS := a.hasCS || b.hasCS
-	mode := plan.Row
-	if hasCS {
-		mode = plan.Batch
-	}
-
-	var best *subPlan
-	consider := func(sp *subPlan) {
-		if sp != nil && (best == nil || sp.cost < best.cost) {
-			best = sp
-		}
-	}
+	// ride on the node as extra filters (build), already priced into
+	// outRows above.
+	best = subPlan{tables: a.tables | b.tables, rows: outRows, width: a.width + b.width, hasCS: a.hasCS || b.hasCS, join: joins[0]}
+	m := p.o.Model
 
 	// Hash join: build on the smaller input.
-	{
-		probe, build := a, b
-		if build.rows > probe.rows {
-			probe, build = build, probe
-		}
-		n := p.node(plan.Node{Op: plan.HashJoin, Mode: mode, Join: jr.ptr, ExtraJoins: extras})
-		n.Children = p.child2(probe.node, build.node)
-		c := p.annotate(n, cost.Args{
-			RowsIn: probe.rows, RowsIn2: build.rows, RowsOut: outRows,
-			Bytes: probe.rows*probe.width + build.rows*build.width,
-		}, width)
-		consider(p.sub(subPlan{node: n, tables: mask, rows: outRows, width: width, cost: a.cost + b.cost + c, hasCS: hasCS}))
+	probe, build := a, b
+	if build.rows > probe.rows {
+		probe, build = build, probe
 	}
+	best.alg, best.left, best.right = hashJoin, probe, build
+	best.cost = a.cost + b.cost + p.joinCost(hashJoin, probe, build, outRows, best.hasCS)
 
 	// Merge join: sort both inputs on their side of the join, then merge.
-	{
-		keyA, keyB := jr.lkey, jr.rkey
-		if a.tables&jr.lm == 0 {
-			keyA, keyB = keyB, keyA
-		}
-		sortA := p.sortNode(a, keyA)
-		sortB := p.sortNode(b, keyB)
-		n := p.node(plan.Node{Op: plan.MergeJoin, Mode: mode, Join: jr.ptr, ExtraJoins: extras})
-		n.Children = p.child2(sortA.node, sortB.node)
-		c := p.annotate(n, cost.Args{
-			RowsIn: a.rows, RowsIn2: b.rows, RowsOut: outRows,
-			Bytes: a.rows*a.width + b.rows*b.width,
-		}, width)
-		consider(p.sub(subPlan{node: n, tables: mask, rows: outRows, width: width, cost: sortA.cost + sortB.cost + c, hasCS: hasCS}))
+	sortA := m.OpCost(plan.Sort, modeOf(a.hasCS), plan.Serial, sortArgs(a))
+	sortB := m.OpCost(plan.Sort, modeOf(b.hasCS), plan.Serial, sortArgs(b))
+	if c := (a.cost + sortA) + (b.cost + sortB) + p.joinCost(mergeJoin, a, b, outRows, best.hasCS); c < best.cost {
+		best.alg, best.left, best.right, best.cost = mergeJoin, a, b, c
 	}
 
 	// Index nested-loop join: inner must be a single base table with an
 	// index whose leading key matches the join column.
-	consider(p.indexNLJ(a, b, joins, outRows, width))
-	consider(p.indexNLJ(b, a, joins, outRows, width))
+	p.indexNLJ(&best, a, b, joins)
+	p.indexNLJ(&best, b, a, joins)
 
 	// Plain nested-loop join, only for tiny inners.
 	if b.rows <= 1000 || a.rows <= 1000 {
@@ -649,151 +792,188 @@ func (p *planner) bestJoin(a, b *subPlan) *subPlan {
 			outer, inner = inner, outer
 		}
 		if inner.rows <= 1000 {
-			n := p.node(plan.Node{Op: plan.NestedLoopJoin, Join: jr.ptr, ExtraJoins: extras})
-			n.Children = p.child2(outer.node, inner.node)
-			c := p.annotate(n, cost.Args{
-				RowsIn: outer.rows, RowsIn2: inner.rows, RowsOut: outRows,
-				Bytes: inner.rows * inner.width,
-			}, width)
-			consider(p.sub(subPlan{node: n, tables: mask, rows: outRows, width: width, cost: a.cost + b.cost + c, hasCS: hasCS}))
+			if c := a.cost + b.cost + p.joinCost(nestedLoopJoin, outer, inner, outRows, false); c < best.cost {
+				best.alg, best.left, best.right, best.cost = nestedLoopJoin, outer, inner, c
+				best.join, best.probe, best.hasCS = joins[0], nil, a.hasCS || b.hasCS
+			}
 		}
 	}
-	return best
+	return best, true
+}
+
+// joinCost returns the cost of a join's top node alone.
+func (p *planner) joinCost(alg joinAlg, l, r *subPlan, rows float64, hasCS bool) float64 {
+	op, mode := joinOp(alg, hasCS)
+	return p.o.Model.OpCost(op, mode, plan.Serial, joinArgs(alg, l, r, rows))
+}
+
+// sortArgs returns the cost.Args of a Sort over in.
+func sortArgs(in *subPlan) cost.Args {
+	return cost.Args{RowsIn: in.rows, RowsOut: in.rows, Bytes: in.rows * in.width}
 }
 
 // sortNode wraps a subplan in a Sort.
 func (p *planner) sortNode(in *subPlan, cols []query.ColRef) *subPlan {
-	mode := plan.Row
-	if in.hasCS {
-		mode = plan.Batch
-	}
-	n := p.node(plan.Node{Op: plan.Sort, Mode: mode, SortCols: cols})
+	n := p.node(plan.Node{Op: plan.Sort, Mode: modeOf(in.hasCS), SortCols: cols})
 	n.Children = p.child1(in.node)
-	c := p.annotate(n, cost.Args{RowsIn: in.rows, RowsOut: in.rows, Bytes: in.rows * in.width}, in.width)
+	c := p.annotate(n, sortArgs(in), in.width)
 	return p.sub(subPlan{node: n, tables: in.tables, rows: in.rows, width: in.width, cost: in.cost + c, hasCS: in.hasCS})
 }
 
-// probes reports whether an index nested-loop join can probe ix on col:
-// ix must be a B+ tree whose leading key column is col.
-func probes(ix *catalog.Index, col string) bool {
-	return ix.Kind == catalog.BTree && len(ix.KeyColumns) > 0 && ix.KeyColumns[0] == col
-}
-
-// indexNLJ builds an index nested-loop join with outer driving per-row
-// probes into a base-table index on the inner side.
-func (p *planner) indexNLJ(outer, inner *subPlan, joins []int, outRows, width float64) *subPlan {
+// indexNLJ costs an index nested-loop join with outer driving per-row
+// probes into each probeable index of the inner base table, and makes it
+// best's recipe when strictly cheaper. Its batch eligibility comes from the
+// outer alone: the inner side is an index seek, never a columnstore.
+func (p *planner) indexNLJ(best *subPlan, outer, inner *subPlan, joins []int) {
 	// Inner must be exactly one base table.
 	if inner.tables&(inner.tables-1) != 0 {
-		return nil
+		return
 	}
 	ti := bits.TrailingZeros64(inner.tables)
-	table := p.q.Tables[ti]
-
+	tv := &p.tabs[ti]
+	if tv.plo == tv.phi {
+		return // no index to probe
+	}
 	// Find the join column on the inner side. The chosen join drives the
-	// probes; the remaining predicates ride on the node as extra filters
-	// (they are priced into outRows by the caller).
+	// probes; the remaining predicates ride on the node as extra filters.
+	table := p.q.Tables[ti]
 	var joinCol string
 	ji := -1
-	for i, k := range joins {
+	for _, k := range joins {
 		if c := p.qi.joins[k].j.ColumnFor(table); c != "" {
-			joinCol, ji = c, i
+			joinCol, ji = c, k
 			break
 		}
 	}
 	if joinCol == "" {
-		return nil
+		return
 	}
-	ixs := p.ixsOn[ti]
-	for len(ixs) > 0 && !probes(ixs[0], joinCol) {
-		ixs = ixs[1:]
-	}
-	if len(ixs) == 0 {
-		return nil // no index to probe: skip building the extras
-	}
-	jp := p.qi.joins[joins[ji]].ptr
-	perProbeSel := p.jsel[joins[ji]]
-	var extras []query.Join
-	if len(joins) > 1 {
-		extras = make([]query.Join, 0, len(joins)-1)
-		for i, k := range joins {
-			if i != ji {
-				extras = append(extras, p.qi.joins[k].j)
-			}
-		}
-	}
-	tv := &p.tabs[ti]
-	meta, rows, needW := tv.meta, tv.rows, tv.needW
-	need := p.qi.colsUsed[ti]
-	preds := p.qi.predsOn[ti]
-	mode := plan.Row
-	if outer.hasCS {
-		mode = plan.Batch
-	}
-	var best *subPlan
-	for _, ix := range ixs {
-		if !probes(ix, joinCol) {
+	m := p.o.Model
+	perProbeSel := p.jsel[ji]
+	for k := tv.plo; k < tv.phi; k++ {
+		pv := &p.pvals[k]
+		if pv.ix.KeyColumns[0] != joinCol {
 			continue
 		}
-		fetched := outer.rows * rows * perProbeSel // total rows fetched across probes
-		var covRes, uncovRes []query.Pred
-		for _, pr := range preds {
-			if ix.Covers(pr.Column) {
-				covRes = append(covRes, pr)
-			} else {
-				uncovRes = append(uncovRes, pr)
+		seek, lookup, filter := probeArgs(outer, tv, pv, perProbeSel)
+		innerCost := m.OpCost(plan.IndexSeek, plan.Row, plan.Serial, seek)
+		if !pv.covers {
+			innerCost += m.OpCost(plan.KeyLookup, plan.Row, plan.Serial, lookup)
+			if pv.uncov {
+				innerCost += m.OpCost(plan.Filter, plan.Row, plan.Serial, filter)
 			}
 		}
-		covering := ix.CoversAll(need)
-		idxW := p.widthOf(table, ix.KeyColumns) + p.widthOf(table, ix.IncludedColumns) + 8
-		seekOut := fetched * p.selAll(covRes)
-
-		seek := p.node(plan.Node{Op: plan.IndexSeek, Table: table, Index: ix.ID(), IndexDef: ix, ResidualPreds: covRes})
-		innerCost := p.annotate(seek, cost.Args{
-			Probes: outer.rows, Height: estHeight(rows), RowsOut: seekOut, Bytes: fetched * idxW,
-		}, math.Min(idxW, needW))
-		innerTop := seek
-		if !covering {
-			lookup := p.node(plan.Node{Op: plan.KeyLookup, Table: table})
-			lookup.Children = p.child1(seek)
-			innerCost += p.annotate(lookup, cost.Args{
-				RowsIn: seekOut, RowsOut: seekOut, Bytes: seekOut * float64(meta.RowWidth()),
-			}, needW)
-			innerTop = lookup
-			if len(uncovRes) > 0 {
-				filter := p.node(plan.Node{Op: plan.Filter, ResidualPreds: uncovRes})
-				filter.Children = p.child1(lookup)
-				innerCost += p.annotate(filter, cost.Args{RowsIn: seekOut, RowsOut: seekOut * p.selAll(uncovRes)}, needW)
-				innerTop = filter
-			}
-		}
-		// The join node is costed like the plain NLJ path in bestJoin but
-		// on the probes branch: the operator dispatches one probe per
-		// outer row (the seek below charges the tree descent; Height 1
-		// here charges only the per-probe join overhead). The inner's
-		// batch eligibility propagates like every other join, and RowsIn2
-		// carries the inner-side cardinality for symmetry with plain NLJ.
-		n := p.node(plan.Node{Op: plan.NestedLoopJoin, Mode: mode, Join: jp, ExtraJoins: extras})
-		n.Children = p.child2(outer.node, innerTop)
-		c := p.annotate(n, cost.Args{
-			RowsIn: outer.rows, RowsIn2: inner.rows, RowsOut: outRows,
-			Probes: outer.rows, Height: 1,
-		}, width)
-		sp := p.sub(subPlan{
-			node: n, tables: outer.tables | inner.tables, rows: outRows, width: width,
-			cost: outer.cost + innerCost + c, hasCS: outer.hasCS,
-		})
-		if best == nil || sp.cost < best.cost {
-			best = sp
+		if c := outer.cost + innerCost + p.joinCost(indexNLJoin, outer, inner, best.rows, outer.hasCS); c < best.cost {
+			best.alg, best.left, best.right, best.cost = indexNLJoin, outer, inner, c
+			best.join, best.probe, best.hasCS = ji, pv, outer.hasCS
 		}
 	}
-	return best
+}
+
+// probeArgs returns the cost.Args of the inner side of an index NLJ in
+// which outer probes pv on table tv at per-probe selectivity sel: the seek,
+// then, when pv does not cover the query, the key lookup and the filter.
+// Costing and buildProbe both take them from here.
+func probeArgs(outer *subPlan, tv *tableVal, pv *probeVal, sel float64) (seek, lookup, filter cost.Args) {
+	fetched := outer.rows * tv.rows * sel // total rows fetched across probes
+	seekOut := fetched * pv.covSel
+	seek = cost.Args{Probes: outer.rows, Height: tv.height, RowsOut: seekOut, Bytes: fetched * pv.width}
+	lookup = cost.Args{RowsIn: seekOut, RowsOut: seekOut, Bytes: seekOut * tv.rowW}
+	filter = cost.Args{RowsIn: seekOut, RowsOut: seekOut * pv.uncovSel}
+	return seek, lookup, filter
+}
+
+// build makes the plan nodes of a subplan's join recipes, bottom up, and
+// returns its root. Access paths arrive built. Only the plan Optimize
+// returns is built, so every node made here is kept.
+func (p *planner) build(sp *subPlan) *plan.Node {
+	if sp.node != nil {
+		return sp.node
+	}
+	l := p.build(sp.left)
+	var r *plan.Node
+	switch sp.alg {
+	case mergeJoin:
+		// Sort each input on its side of the driving join.
+		jr := &p.qi.joins[sp.join]
+		keyL, keyR := jr.lkey, jr.rkey
+		if sp.left.tables&jr.lm == 0 {
+			keyL, keyR = keyR, keyL
+		}
+		p.build(sp.right)
+		l, r = p.sortNode(sp.left, keyL).node, p.sortNode(sp.right, keyR).node
+	case indexNLJoin:
+		r = p.buildProbe(sp)
+	default:
+		r = p.build(sp.right)
+	}
+	op, mode := joinOp(sp.alg, sp.hasCS)
+	n := p.node(plan.Node{Op: op, Mode: mode, Join: p.qi.joins[sp.join].ptr, ExtraJoins: p.extraJoins(sp)})
+	n.Children = p.child2(l, r)
+	p.annotate(n, joinArgs(sp.alg, sp.left, sp.right, sp.rows), sp.width)
+	sp.node = n
+	return n
+}
+
+// extraJoins returns the join predicates between a join's inputs other
+// than the driving one, in q.Joins order, or nil when there are none. The
+// slice is heap-allocated: the returned plan keeps it.
+func (p *planner) extraJoins(sp *subPlan) []query.Join {
+	joins := p.joinsBetween(sp.left.tables, sp.right.tables)
+	if len(joins) < 2 {
+		return nil
+	}
+	extras := make([]query.Join, 0, len(joins)-1)
+	for _, k := range joins {
+		if k != sp.join {
+			extras = append(extras, p.qi.joins[k].j)
+		}
+	}
+	return extras
+}
+
+// buildProbe makes the inner side of an index nested-loop join recipe: a
+// seek on the probed index applying the predicates it covers, then, when
+// it does not cover the query, a key lookup and a filter for the rest.
+func (p *planner) buildProbe(sp *subPlan) *plan.Node {
+	pv := sp.probe
+	ix := pv.ix
+	ti := bits.TrailingZeros64(sp.right.tables)
+	table := p.q.Tables[ti]
+	tv := &p.tabs[ti]
+	var covRes, uncovRes []query.Pred
+	for _, pr := range p.qi.predsOn[ti] {
+		if ix.Covers(pr.Column) {
+			covRes = append(covRes, pr)
+		} else {
+			uncovRes = append(uncovRes, pr)
+		}
+	}
+	seekArgs, lookupArgs, filterArgs := probeArgs(sp.left, tv, pv, p.jsel[sp.join])
+	seek := p.node(plan.Node{Op: plan.IndexSeek, Table: table, Index: ix.ID(), IndexDef: ix, ResidualPreds: covRes})
+	p.annotate(seek, seekArgs, math.Min(pv.width, tv.needW))
+	if pv.covers {
+		return seek
+	}
+	lookup := p.node(plan.Node{Op: plan.KeyLookup, Table: table})
+	lookup.Children = p.child1(seek)
+	p.annotate(lookup, lookupArgs, tv.needW)
+	if len(uncovRes) == 0 {
+		return lookup
+	}
+	filter := p.node(plan.Node{Op: plan.Filter, ResidualPreds: uncovRes})
+	filter.Children = p.child1(lookup)
+	p.annotate(filter, filterArgs, tv.needW)
+	return filter
 }
 
 // dpJoin finds the cheapest join order by dynamic programming over
 // connected table subsets. The DP table is a dense slice indexed by table
-// bitmask; sets are visited in ascending numeric order, which is equivalent
-// to the classic by-size order because every strict subset of a set is
-// numerically smaller.
+// bitmask holding one recipe per set, overwritten in place when a strictly
+// cheaper split appears; sets are visited in ascending numeric order, which
+// is equivalent to the classic by-size order because every strict subset of
+// a set is numerically smaller, so a set's recipe is final before any
+// larger set reads it.
 func (p *planner) dpJoin(base []*subPlan) *subPlan {
 	n := len(base)
 	full := uint64(1)<<uint(n) - 1
@@ -821,10 +1001,14 @@ func (p *planner) dpJoin(base []*subPlan) *subPlan {
 			if a == nil || b == nil {
 				continue
 			}
-			if j := p.bestJoin(a, b); j != nil {
-				if cur := dp[set]; cur == nil || j.cost < cur.cost {
-					dp[set] = j
-				}
+			j, ok := p.bestJoin(a, b)
+			if !ok {
+				continue
+			}
+			if cur := dp[set]; cur == nil {
+				dp[set] = p.sub(j)
+			} else if j.cost < cur.cost {
+				*cur = j
 			}
 		}
 	}
@@ -837,17 +1021,16 @@ func (p *planner) greedyJoin(base []*subPlan) *subPlan {
 	pool := append(p.gpool[:0], base...)
 	for len(pool) > 1 {
 		var bi, bj int
-		var bestSP *subPlan
+		var round subPlan
+		found := false
 		for i := 0; i < len(pool); i++ {
 			for j := i + 1; j < len(pool); j++ {
-				if sp := p.bestJoin(pool[i], pool[j]); sp != nil {
-					if bestSP == nil || sp.cost < bestSP.cost {
-						bestSP, bi, bj = sp, i, j
-					}
+				if sp, ok := p.bestJoin(pool[i], pool[j]); ok && (!found || sp.cost < round.cost) {
+					round, bi, bj, found = sp, i, j, true
 				}
 			}
 		}
-		if bestSP == nil {
+		if !found {
 			p.gpool = pool[:0]
 			return nil
 		}
@@ -857,7 +1040,7 @@ func (p *planner) greedyJoin(base []*subPlan) *subPlan {
 				next = append(next, sp)
 			}
 		}
-		pool = append(next, bestSP)
+		pool = append(next, p.sub(round))
 	}
 	out := pool[0]
 	p.gpool = pool[:0]
@@ -872,12 +1055,8 @@ func (p *planner) addAggregation(in *subPlan) *subPlan {
 	}
 	groups := p.estGroups(in.rows)
 	outW := in.width // close enough for group rows
-	mode := plan.Row
-	if in.hasCS {
-		mode = plan.Batch
-	}
 
-	hash := p.node(plan.Node{Op: plan.HashAggregate, Mode: mode, GroupCols: p.q.GroupBy})
+	hash := p.node(plan.Node{Op: plan.HashAggregate, Mode: modeOf(in.hasCS), GroupCols: p.q.GroupBy})
 	hash.Children = p.child1(in.node)
 	hc := p.annotate(hash, cost.Args{RowsIn: in.rows, RowsOut: groups, Bytes: in.rows * in.width}, outW)
 	hashSP := p.sub(subPlan{node: hash, tables: in.tables, rows: groups, width: outW, cost: in.cost + hc, hasCS: in.hasCS})

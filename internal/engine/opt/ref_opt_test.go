@@ -620,6 +620,17 @@ func inljQuery() *query.Query {
 // refSuite is the (query, configuration) matrix the reference comparison
 // covers: every access-path shape, joins, multi-predicate joins, index
 // NLJ, columnstores, and parallel plans.
+//
+// Two configurations pin properties the reference does not reach by
+// construction:
+//
+//   - {fact/bt(f_dim)+(f_val), fact/cs}: jq probes fact's B+ tree through
+//     an index NLJ while fact's own best access path is the columnstore
+//     scan, so the join's batch eligibility must come from its outer
+//     alone (HashAggregate_Row above it, not _Batch);
+//   - fact/bt(f_pad): no query filters, joins or covers on f_pad, so the
+//     live planner drops the index by its relevance rule while the
+//     reference still considers it; equal plans show the drop is sound.
 func refSuite() ([]*query.Query, []*catalog.Configuration) {
 	qs, cfgs := memoSuite()
 	qs = append(qs, multiJoinQuery(), inljQuery())
@@ -627,6 +638,10 @@ func refSuite() ([]*query.Query, []*catalog.Configuration) {
 		catalog.NewConfiguration(
 			&catalog.Index{Table: "fact", KeyColumns: []string{"f_dim"}, IncludedColumns: []string{"f_val"}},
 			&catalog.Index{Table: "dim", Kind: catalog.Columnstore}),
+		catalog.NewConfiguration(
+			&catalog.Index{Table: "fact", KeyColumns: []string{"f_dim"}, IncludedColumns: []string{"f_val"}},
+			&catalog.Index{Table: "fact", Kind: catalog.Columnstore}),
+		catalog.NewConfiguration(&catalog.Index{Table: "fact", KeyColumns: []string{"f_pad"}}),
 	)
 	return qs, cfgs
 }

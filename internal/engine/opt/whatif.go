@@ -30,21 +30,23 @@ var (
 const whatIfShards = 16
 
 // WhatIf wraps an Optimizer with a plan cache keyed by (query fingerprint,
-// fingerprint of the configuration's indexes the query can use). Index
+// fingerprint of the configuration's indexes relevant to the query). Index
 // tuners probe the same hypothetical configurations for many queries and
 // the same query under many configurations; caching keeps the search
 // cheap, mirroring the optimizer-call caching of production tuners.
 //
 // The cache key includes the query's full fingerprint (constants included):
 // two distinct queries that merely share a Name never receive each other's
-// plans. Its configuration half drops indexes on tables the query does not
-// reference, by the same rule the planner uses to ignore them (Chaudhuri
-// and Narasayya: a plan depends only on the indexes relevant to its
-// query), so configurations that differ only in such indexes share one
-// plan. A hit for a configuration whose full fingerprint differs from the
-// cached plan's ConfigFP returns a shallow copy that shares Root and
-// carries the caller's ConfigFP, so the plan always names the
-// configuration it was asked for.
+// plans. Its configuration half keeps only the indexes relevant to the
+// query (Optimizer.Relevant; Chaudhuri and Narasayya: a plan depends only
+// on the indexes relevant to its query). The planner drops the same
+// others: an index on a table the query does not reference, and a B+ tree
+// that no predicate, join or covering scan of the query can read.
+// Configurations that differ only in such indexes share one plan. A hit
+// for a configuration whose full fingerprint differs from the cached
+// plan's ConfigFP returns a shallow copy that shares Root and carries the
+// caller's ConfigFP, so the plan always names the configuration it was
+// asked for.
 //
 // It is safe for concurrent use: the cache is sharded to cut lock
 // contention, and concurrent misses on the same key are deduplicated
@@ -118,8 +120,8 @@ func (w *WhatIf) Plan(q *query.Query, cfg *catalog.Configuration) (*plan.Plan, e
 		cfg = emptyConfig
 	}
 	qi := w.Opt.queryInfo(q)
-	usable := func(ix *catalog.Index) bool { _, ok := qi.indexTable(ix); return ok }
-	key := whatIfKey{queryFP: qi.fp, configFP: cfg.FingerprintOf(usable)}
+	relevant := func(ix *catalog.Index) bool { _, ok := qi.indexTable(ix); return ok }
+	key := whatIfKey{queryFP: qi.fp, configFP: cfg.FingerprintOf(relevant)}
 	sh := w.shardFor(key)
 	w.calls.Add(1)
 
@@ -141,7 +143,7 @@ func (w *WhatIf) Plan(q *query.Query, cfg *catalog.Configuration) (*plan.Plan, e
 		w.hits.Add(1)
 		if fp := cfg.Fingerprint(); fp != e.p.ConfigFP {
 			// Planned under a configuration that differs from cfg only in
-			// indexes the query does not use: same plan, cfg's name.
+			// indexes the query cannot use: same plan, cfg's name.
 			cp := *e.p
 			cp.ConfigFP = fp
 			return &cp, nil

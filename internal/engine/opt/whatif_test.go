@@ -10,6 +10,7 @@ import (
 	"repro/internal/engine/catalog"
 	"repro/internal/engine/plan"
 	"repro/internal/engine/query"
+	sqlparse "repro/internal/sql"
 )
 
 // TestWhatIfKeyIncludesPredicates is the regression test for the cache-key
@@ -186,18 +187,21 @@ func cacheEntries(w *WhatIf) int {
 
 // TestWhatIfDuplicateConfigs: two configurations with the same fingerprint
 // are planned once and share the cache entry. So is a configuration that
-// adds only an index on a table the query does not reference: the cache
-// key keeps just the indexes the query can use. Its plan shares the cached
-// tree and estimates but names its own configuration.
+// adds only an index the query cannot use: one on a table the query does
+// not reference, or a B+ tree on a referenced table that no predicate,
+// join or covering scan of the query reads. The cache key keeps just the
+// indexes relevant to the query. Such a plan shares the cached tree and
+// estimates but names its own configuration.
 func TestWhatIfDuplicateConfigs(t *testing.T) {
 	s, _, ds := buildEnv(t)
 	w := NewWhatIf(New(s, ds))
-	q := pointQuery() // reads only fact
+	q := pointQuery() // reads only fact, filtering on f_date
 	a := catalog.NewConfiguration(&catalog.Index{Table: "fact", KeyColumns: []string{"f_date"}})
 	b := catalog.NewConfiguration(&catalog.Index{Table: "fact", KeyColumns: []string{"f_date"}})
 	withDim := a.Clone().Add(&catalog.Index{Table: "dim", KeyColumns: []string{"d_cat"}})
+	withPad := a.Clone().Add(&catalog.Index{Table: "fact", KeyColumns: []string{"f_pad"}})
 	var plans []*plan.Plan
-	for _, cfg := range []*catalog.Configuration{a, b, a, withDim} {
+	for _, cfg := range []*catalog.Configuration{a, b, a, withDim, withPad} {
 		p, err := w.Plan(q, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -208,24 +212,75 @@ func TestWhatIfDuplicateConfigs(t *testing.T) {
 		t.Fatal("configurations with one fingerprint must share one cached plan")
 	}
 	calls, hits := w.Stats()
-	if calls != 4 || hits != 3 {
-		t.Fatalf("stats: calls=%d hits=%d, want 4/3", calls, hits)
+	if calls != 5 || hits != 4 {
+		t.Fatalf("stats: calls=%d hits=%d, want 5/4", calls, hits)
 	}
 	if n := cacheEntries(w); n != 1 {
 		t.Fatalf("cache holds %d entries, want 1", n)
 	}
-	dimPlan := plans[3]
-	if dimPlan.Root != plans[0].Root {
-		t.Fatal("an index on an unreferenced table must not re-plan the query")
+	for i, cfg := range map[int]*catalog.Configuration{3: withDim, 4: withPad} {
+		p := plans[i]
+		if p.Root != plans[0].Root {
+			t.Fatalf("%s: an index the query cannot use must not re-plan it", cfg.Fingerprint())
+		}
+		if math.Float64bits(p.EstTotalCost) != math.Float64bits(plans[0].EstTotalCost) {
+			t.Fatalf("%s: estimate changed: %v vs %v", cfg.Fingerprint(), p.EstTotalCost, plans[0].EstTotalCost)
+		}
+		if p.ConfigFP != cfg.Fingerprint() || plans[0].ConfigFP != a.Fingerprint() {
+			t.Fatalf("ConfigFP %q / %q, want %q / %q", p.ConfigFP, plans[0].ConfigFP, cfg.Fingerprint(), a.Fingerprint())
+		}
+		if want := fmt.Sprintf("config %q)", cfg.Fingerprint()); !strings.Contains(p.String(), want) {
+			t.Fatalf("plan header does not name its configuration %s:\n%s", want, p)
+		}
 	}
-	if math.Float64bits(dimPlan.EstTotalCost) != math.Float64bits(plans[0].EstTotalCost) {
-		t.Fatalf("estimate changed: %v vs %v", dimPlan.EstTotalCost, plans[0].EstTotalCost)
+}
+
+// TestWhatIfReparsedQueryAddsNoState: a daemon parses every ad-hoc SQL
+// body into a new *query.Query, from many request goroutines at once.
+// Planning many parses of one text keeps one per-query analysis, so the
+// optimizer's state grows with distinct queries, not with requests.
+func TestWhatIfReparsedQueryAddsNoState(t *testing.T) {
+	s, _, ds := buildEnv(t)
+	o := New(s, ds)
+	w := NewWhatIf(o)
+	cfg := catalog.NewConfiguration(&catalog.Index{Table: "fact", KeyColumns: []string{"f_dim"}})
+	const text = "SELECT SUM(f_val) FROM fact, dim WHERE f_dim = d_id AND d_cat = 3"
+	const workers, each = 4, 50
+	plans := make([]*plan.Plan, workers*each)
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				q, err := sqlparse.Parse(text, s)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if plans[g*each+i], err = w.Plan(q, cfg); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
 	}
-	if dimPlan.ConfigFP != withDim.Fingerprint() || plans[0].ConfigFP != a.Fingerprint() {
-		t.Fatalf("ConfigFP %q / %q, want %q / %q", dimPlan.ConfigFP, plans[0].ConfigFP, withDim.Fingerprint(), a.Fingerprint())
+	wg.Wait()
+	for i, p := range plans {
+		if p != plans[0] {
+			t.Fatalf("parse %d: a re-parsed query must share the cached plan", i)
+		}
 	}
-	if want := fmt.Sprintf("config %q)", withDim.Fingerprint()); !strings.Contains(dimPlan.String(), want) {
-		t.Fatalf("plan header does not name its configuration %s:\n%s", want, dimPlan)
+	count := func(m *sync.Map) int {
+		n := 0
+		m.Range(func(_, _ any) bool { n++; return true })
+		return n
+	}
+	if n, m := count(&o.qinfo), count(&o.byFP); n != 1 || m != 1 {
+		t.Fatalf("optimizer holds %d query pointers over %d analyses, want 1 and 1", n, m)
+	}
+	if calls, hits := w.Stats(); calls != 200 || hits != 199 {
+		t.Fatalf("stats: calls=%d hits=%d, want 200/199", calls, hits)
 	}
 }
 

@@ -41,9 +41,6 @@ func NewMatrix(X [][]float64) *Matrix {
 // Rows returns the number of samples in the view.
 func (m *Matrix) Rows() int { return m.rows }
 
-// Dims returns the number of feature columns.
-func (m *Matrix) Dims() int { return m.dims }
-
 // Reset rebuilds the view over X, reusing the previous slabs when they
 // are large enough.
 func (m *Matrix) Reset(X [][]float64) {

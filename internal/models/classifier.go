@@ -207,15 +207,6 @@ func EvaluateVectors(c *Classifier, X [][]float64, y []int) *ml.Confusion {
 	return conf
 }
 
-// EvaluateMetrics returns the full confusion matrix of a comparator.
-func EvaluateMetrics(c Comparator, pairs []expdata.Pair, alpha float64) *ml.Confusion {
-	conf := ml.NewConfusion(expdata.NumLabels)
-	for _, p := range pairs {
-		conf.Add(int(p.Label(alpha)), int(c.Compare(p.P1.Plan, p.P2.Plan)))
-	}
-	return conf
-}
-
 // OptimizerBaseline compares plans by the optimizer's estimated total cost
 // with the same α thresholds — the state-of-the-art tuner behaviour.
 type OptimizerBaseline struct {

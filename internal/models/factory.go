@@ -33,11 +33,6 @@ func RFWorkers(trees int, seed int64, workers int) ml.Classifier {
 	})
 }
 
-// GBTC builds a gradient-boosted tree classifier.
-func GBTC(rounds int, seed int64) ml.Classifier {
-	return gbt.NewClassifier(gbt.Config{Rounds: rounds, MaxDepth: 6, Seed: seed})
-}
-
 // LGBM builds the LightGBM-style histogram/leaf-wise classifier.
 func LGBM(rounds int, seed int64) ml.Classifier {
 	return gbt.NewLGBMClassifier(gbt.LGBMConfig{Rounds: rounds, MaxLeaves: 31, Seed: seed})

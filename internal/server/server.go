@@ -232,21 +232,12 @@ func (s *Server) Handler() http.Handler { return s.handler }
 
 type ctxKey int
 
-const (
-	tenantKey ctxKey = iota
-	requestIDKey
-)
+const tenantKey ctxKey = 0
 
 // tenantFrom returns the request's resolved tenant (set by withTenant).
 func tenantFrom(r *http.Request) *tenant.Tenant {
 	t, _ := r.Context().Value(tenantKey).(*tenant.Tenant)
 	return t
-}
-
-// RequestIDFrom returns the request's ID (set by instrument).
-func RequestIDFrom(r *http.Request) string {
-	id, _ := r.Context().Value(requestIDKey).(string)
-	return id
 }
 
 // instrument is the outermost middleware: it assigns every request an
@@ -265,7 +256,7 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 		sp := obs.Default().StartSpan("http.request").WithTag(reqID)
 		ew := &envelopeWriter{ResponseWriter: w}
 		start := mHTTPLatency.Start()
-		next.ServeHTTP(ew, r.WithContext(context.WithValue(r.Context(), requestIDKey, reqID)))
+		next.ServeHTTP(ew, r)
 		ew.finish()
 		mHTTPLatency.Stop(start)
 		if ew.status >= http.StatusBadRequest {

@@ -428,18 +428,19 @@ type WorkloadRecommendation struct {
 
 // workloadCost computes the weighted estimated cost of a workload under
 // cfg, where cfg differs from the configuration behind curPlans only by
-// indexes on tables that the queries at touched (ascending) reference. Only
-// those queries are re-planned and re-gated against their initial plans;
-// every other query keeps its plan from curPlans. That is exact, not an
-// approximation: the optimizer ignores indexes on tables a query does not
-// reference, so an untouched query's plan under cfg carries the same
-// estimates as its plan in curPlans, and that plan is either the query's
-// initial plan, which is never gated, or one the gate — a pure function of
-// the plan pair — already accepted. ok is false when some touched
-// query is predicted to regress. The touched plans are probed in parallel;
-// the gate and the weighted sum run serially in query order, so the result
-// (including float summation order) matches re-planning every query. On
-// success the returned slice holds every query's plan under cfg.
+// indexes relevant to the queries at touched (ascending). Only those
+// queries are re-planned and re-gated against their initial plans; every
+// other query keeps its plan from curPlans. That is exact, not an
+// approximation: the optimizer ignores an index that is not relevant to a
+// query (opt.Optimizer.Relevant), so an untouched query's plan under cfg
+// carries the same estimates as its plan in curPlans, and that plan is
+// either the query's initial plan, which is never gated, or one the gate —
+// a pure function of the plan pair — already accepted. ok is false when
+// some touched query is predicted to regress. The touched plans are probed
+// in parallel; the gate and the weighted sum run serially in query order,
+// so the result (including float summation order) matches re-planning
+// every query. On success the returned slice holds every query's plan
+// under cfg.
 func (t *Tuner) workloadCost(ctx context.Context, qs []*query.Query, initPlans, curPlans []*plan.Plan, touched []int, cfg *catalog.Configuration) ([]*plan.Plan, float64, bool, error) {
 	plans := append([]*plan.Plan(nil), curPlans...)
 	errs := make([]error, len(touched))
@@ -485,7 +486,7 @@ func weightedCost(qs []*query.Query, plans []*plan.Plan) float64 {
 // the candidate index pool; a greedy enumeration assembles the workload
 // configuration under the constraints. Phase (a) tunes the queries in
 // parallel; phase (b) evaluates the pool candidates of each greedy step in
-// parallel, each re-planning only the queries that reference its table.
+// parallel, each re-planning only the queries it is relevant to.
 // Both phases pick winners by fixed order-based rules, so the
 // recommendation is identical at any Parallelism. ctx cancels both phases.
 func (t *Tuner) TuneWorkload(ctx context.Context, qs []*query.Query, c0 *catalog.Configuration) (*WorkloadRecommendation, error) {
@@ -537,14 +538,14 @@ func (t *Tuner) TuneWorkload(ctx context.Context, qs []*query.Query, c0 *catalog
 			}
 		}
 	}
-	// Phase (b): greedy assembly over cur's per-query plans. touches maps
-	// each table to the (deduplicated, ascending) indexes of the queries
-	// referencing it: the only queries an index on that table can re-plan.
-	touches := map[string][]int{}
-	for i, q := range qs {
-		for _, tb := range q.Tables {
-			if idx := touches[tb]; len(idx) == 0 || idx[len(idx)-1] != i {
-				touches[tb] = append(idx, i)
+	// Phase (b): greedy assembly over cur's per-query plans. touches[k]
+	// lists, ascending, the queries pool[k] is relevant to: the only ones
+	// adding it can re-plan.
+	touches := make([][]int, len(pool))
+	for k, ix := range pool {
+		for i, q := range qs {
+			if t.WhatIf.Opt.Relevant(q, ix) {
+				touches[k] = append(touches[k], i)
 			}
 		}
 	}
@@ -567,7 +568,7 @@ func (t *Tuner) TuneWorkload(ctx context.Context, qs []*query.Query, c0 *catalog
 			err     error
 		}
 		probes := make([]*poolProbe, 0, len(pool))
-		for _, ix := range pool {
+		for k, ix := range pool {
 			if cur.Has(ix) {
 				continue
 			}
@@ -575,7 +576,7 @@ func (t *Tuner) TuneWorkload(ctx context.Context, qs []*query.Query, c0 *catalog
 			if !t.allowedByBudget(c0, cfg) {
 				continue
 			}
-			probes = append(probes, &poolProbe{cfg: cfg, touched: touches[ix.Table]})
+			probes = append(probes, &poolProbe{cfg: cfg, touched: touches[k]})
 		}
 		mWStepCands.Observe(float64(len(probes)))
 		t.parallelFor(len(probes), func(i int) {
