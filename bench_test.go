@@ -192,7 +192,10 @@ func BenchmarkClassifierTrain(b *testing.B) {
 	}
 }
 
-func BenchmarkClassifierInference(b *testing.B) {
+// benchClassifier trains the RF-100 plan-pair classifier the inference
+// and gated-tuning benchmarks share, returning it with its training pairs.
+func benchClassifier(b *testing.B) (*models.Classifier, []expdata.Pair) {
+	b.Helper()
 	w := workload.TPCH("bench-infer", 2500, 7)
 	ds, err := expdata.Collect(w, expdata.CollectOpts{Seed: 3, MaxConfigsPerQuery: 8, ExecRepeats: 2})
 	if err != nil {
@@ -203,6 +206,11 @@ func BenchmarkClassifierInference(b *testing.B) {
 	if err := clf.Train(pairs); err != nil {
 		b.Fatal(err)
 	}
+	return clf, pairs
+}
+
+func BenchmarkClassifierInference(b *testing.B) {
+	clf, pairs := benchClassifier(b)
 	p := pairs[0]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -237,22 +245,29 @@ func BenchmarkTuneQuery(b *testing.B) {
 // Probing is CPU-bound in the planner, so the Parallel4/Serial ratio
 // tracks physical cores: ~parity on a single-core host (the pool adds no
 // overhead), approaching 4x with >= 4 cores.
-func benchTuneWorkload(b *testing.B, parallelism int) {
+func benchTuneWorkload(b *testing.B, parallelism int, cmp models.Comparator) {
 	w := workload.TPCH("bench-tunew", 5000, 7)
 	ds := stats.BuildDatabaseStats(w.DB, util.NewRNG(4), stats.DefaultSampleSize, stats.DefaultBuckets)
 	o := opt.New(w.Schema, ds)
 	qs := w.Queries[:12]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tn := tuner.New(w.Schema, opt.NewWhatIf(o), nil, tuner.Options{Parallelism: parallelism})
+		tn := tuner.New(w.Schema, opt.NewWhatIf(o), cmp, tuner.Options{Parallelism: parallelism})
 		if _, err := tn.TuneWorkload(context.Background(), qs, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkTuneWorkloadSerial(b *testing.B)    { benchTuneWorkload(b, 1) }
-func BenchmarkTuneWorkloadParallel4(b *testing.B) { benchTuneWorkload(b, 4) }
+func BenchmarkTuneWorkloadSerial(b *testing.B)    { benchTuneWorkload(b, 1, nil) }
+func BenchmarkTuneWorkloadParallel4(b *testing.B) { benchTuneWorkload(b, 4, nil) }
+
+// BenchmarkTuneWorkloadGated is TuneWorkloadSerial with the RF-100
+// classifier gating every probe, so it times the classifier gate.
+func BenchmarkTuneWorkloadGated(b *testing.B) {
+	clf, _ := benchClassifier(b)
+	benchTuneWorkload(b, 1, clf)
+}
 
 // BenchmarkCandidateGen measures the role-classified candidate generator
 // on the composite workload's full query mix — the per-query cost the
@@ -293,7 +308,7 @@ func BenchmarkTuneWorkloadCompressed(b *testing.B) {
 func BenchmarkTuneWorkloadSerialMetricsOn(b *testing.B) {
 	obs.SetEnabled(true)
 	defer obs.SetEnabled(false)
-	benchTuneWorkload(b, 1)
+	benchTuneWorkload(b, 1, nil)
 }
 
 // synthTrainingData builds a deterministic matrix shaped like the learn

@@ -101,7 +101,10 @@ type subPlan struct {
 	rows   float64    // estimated output rows
 	width  float64    // estimated output row width in bytes
 	cost   float64    // cumulative estimated cost
-	hasCS  bool       // subtree contains a columnstore scan (batch eligible)
+	// sortCost caches the cost of a Sort over this subplan for bestJoin's
+	// merge alternative; 0 means not yet computed (see planner.sortCost).
+	sortCost float64
+	hasCS    bool // subtree contains a columnstore scan (batch eligible)
 
 	alg         joinAlg
 	left, right *subPlan  // the inputs, in the order joinAlg names them
@@ -763,7 +766,6 @@ func (p *planner) bestJoin(a, b *subPlan) (best subPlan, ok bool) {
 	// ride on the node as extra filters (build), already priced into
 	// outRows above.
 	best = subPlan{tables: a.tables | b.tables, rows: outRows, width: a.width + b.width, hasCS: a.hasCS || b.hasCS, join: joins[0]}
-	m := p.o.Model
 
 	// Hash join: build on the smaller input.
 	probe, build := a, b
@@ -774,9 +776,7 @@ func (p *planner) bestJoin(a, b *subPlan) (best subPlan, ok bool) {
 	best.cost = a.cost + b.cost + p.joinCost(hashJoin, probe, build, outRows, best.hasCS)
 
 	// Merge join: sort both inputs on their side of the join, then merge.
-	sortA := m.OpCost(plan.Sort, modeOf(a.hasCS), plan.Serial, sortArgs(a))
-	sortB := m.OpCost(plan.Sort, modeOf(b.hasCS), plan.Serial, sortArgs(b))
-	if c := (a.cost + sortA) + (b.cost + sortB) + p.joinCost(mergeJoin, a, b, outRows, best.hasCS); c < best.cost {
+	if c := (a.cost + p.sortCost(a)) + (b.cost + p.sortCost(b)) + p.joinCost(mergeJoin, a, b, outRows, best.hasCS); c < best.cost {
 		best.alg, best.left, best.right, best.cost = mergeJoin, a, b, c
 	}
 
@@ -805,6 +805,19 @@ func (p *planner) bestJoin(a, b *subPlan) (best subPlan, ok bool) {
 func (p *planner) joinCost(alg joinAlg, l, r *subPlan, rows float64, hasCS bool) float64 {
 	op, mode := joinOp(alg, hasCS)
 	return p.o.Model.OpCost(op, mode, plan.Serial, joinArgs(alg, l, r, rows))
+}
+
+// sortCost returns the cost of a Sort over in, computing it on first use.
+// The cost depends only on in's rows, width and hasCS. bestJoin reads a DP
+// cell only once it is final (sets are visited in ascending order), and a
+// cheaper split overwrites the whole cell, cache included, so every call
+// returns what computing the cost afresh would. A zero cost is simply
+// recomputed.
+func (p *planner) sortCost(in *subPlan) float64 {
+	if in.sortCost == 0 {
+		in.sortCost = p.o.Model.OpCost(plan.Sort, modeOf(in.hasCS), plan.Serial, sortArgs(in))
+	}
+	return in.sortCost
 }
 
 // sortArgs returns the cost.Args of a Sort over in.

@@ -5,10 +5,14 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/candidates"
 	"repro/internal/engine/catalog"
 	"repro/internal/engine/cost"
 	"repro/internal/engine/plan"
 	"repro/internal/engine/query"
+	"repro/internal/engine/stats"
+	"repro/internal/util"
+	"repro/internal/workload"
 )
 
 // This file freezes a reference implementation of the planning algorithm —
@@ -731,6 +735,69 @@ func TestPlannerMatchesReferenceOnChain(t *testing.T) {
 			comparePlans(t, fmt.Sprintf("chain limit=%d pass=%d", limit, pass), got, want)
 		}
 	}
+}
+
+// TestPlannerMatchesReferenceOnTPC extends the comparison to TPC-H and
+// TPC-DS under no index and under each of every query's candidates alone.
+// Unlike refSuite and the chain, these plans pick merge joins over
+// multi-table inputs, so the merge join's costing and build, including its
+// sort keys when the driving join's left table is on the right input (only
+// TPC-DS has those), decide plans the comparison checks; the test asserts
+// that each workload has such plans.
+func TestPlannerMatchesReferenceOnTPC(t *testing.T) {
+	for _, w := range []*workload.Workload{
+		workload.TPCH("ref-tpch", 4000, 9),
+		workload.TPCDS("ref-tpcds", 3000, 9),
+	} {
+		ds := stats.BuildDatabaseStats(w.DB, util.NewRNG(4), 512, 32)
+		live := New(w.Schema, ds)
+		ref := New(w.Schema, ds)
+		var plans, merges int
+		for _, q := range w.Queries {
+			cfgs := []*catalog.Configuration{nil}
+			for _, ix := range candidates.Generate(q, w.Schema, candidates.Limits{}) {
+				cfgs = append(cfgs, catalog.NewConfiguration(ix))
+			}
+			for _, cfg := range cfgs {
+				want, errW := refOptimize(ref, q, cfg)
+				got, errG := live.Optimize(q, cfg)
+				if (errW == nil) != (errG == nil) {
+					t.Fatalf("%s %s/%q: error mismatch: live=%v ref=%v", w.Name, q.Name, fpOf(cfg), errG, errW)
+				}
+				if errW != nil {
+					continue
+				}
+				comparePlans(t, fmt.Sprintf("%s %s/%q", w.Name, q.Name, fpOf(cfg)), got, want)
+				plans++
+				if hasMultiTableMerge(got.Root) {
+					merges++
+				}
+			}
+		}
+		t.Logf("%s: %d of %d plans merge-join a multi-table input", w.Name, merges, plans)
+		if merges == 0 {
+			t.Fatalf("%s: no merge join over a multi-table input in %d plans", w.Name, plans)
+		}
+	}
+}
+
+// hasMultiTableMerge reports whether some merge join in n's tree has a
+// join below one of its inputs.
+func hasMultiTableMerge(n *plan.Node) bool {
+	found := false
+	n.Walk(func(m *plan.Node) {
+		if m.Op != plan.MergeJoin {
+			return
+		}
+		for _, c := range m.Children {
+			c.Walk(func(d *plan.Node) {
+				if d.Op == plan.HashJoin || d.Op == plan.MergeJoin || d.Op == plan.NestedLoopJoin {
+					found = true
+				}
+			})
+		}
+	})
+	return found
 }
 
 func fpOf(cfg *catalog.Configuration) string {

@@ -1,12 +1,6 @@
 package expdata
 
-import (
-	"cmp"
-	"slices"
-	"strings"
-
-	"repro/internal/util"
-)
+import "repro/internal/util"
 
 // SplitMode enumerates the train/test split strategies of §7.3. From Pair
 // to Database, the train and test distributions grow increasingly
@@ -183,21 +177,4 @@ func LabelCounts(pairs []Pair, alpha float64) map[Label]int {
 		out[p.Label(alpha)]++
 	}
 	return out
-}
-
-// SortPairs orders pairs deterministically (by db, query, plan costs) for
-// reproducible downstream batching.
-func SortPairs(pairs []Pair) {
-	slices.SortStableFunc(pairs, func(a, b Pair) int {
-		if c := strings.Compare(a.DB(), b.DB()); c != 0 {
-			return c
-		}
-		if c := strings.Compare(a.QueryName(), b.QueryName()); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.P1.Cost, b.P1.Cost); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.P2.Cost, b.P2.Cost)
-	})
 }

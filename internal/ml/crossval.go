@@ -44,31 +44,3 @@ func CrossValF1Workers(build func() Classifier, X [][]float64, y []int, numClass
 	}
 	return sum / float64(len(ks)), nil
 }
-
-// GridPoint is one hyper-parameter setting with its cross-validated score.
-type GridPoint struct {
-	Name  string
-	Score float64
-}
-
-// GridSearch cross-validates every named classifier family and returns the
-// scores sorted as given plus the best index.
-func GridSearch(builders map[string]func() Classifier, X [][]float64, y []int, numClasses, folds, class int, rng *util.RNG, order []string) ([]GridPoint, int, error) {
-	var out []GridPoint
-	best := -1
-	for _, name := range order {
-		build, ok := builders[name]
-		if !ok {
-			return nil, -1, fmt.Errorf("ml: unknown grid point %q", name)
-		}
-		score, err := CrossValF1(build, X, y, numClasses, folds, class, rng.Split("grid:"+name))
-		if err != nil {
-			return nil, -1, fmt.Errorf("ml: grid point %q: %w", name, err)
-		}
-		out = append(out, GridPoint{Name: name, Score: score})
-		if best < 0 || score > out[best].Score {
-			best = len(out) - 1
-		}
-	}
-	return out, best, nil
-}

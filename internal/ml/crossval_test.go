@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/ml"
 	"repro/internal/ml/forest"
-	"repro/internal/ml/linear"
 	"repro/internal/util"
 )
 
@@ -22,53 +21,5 @@ func TestCrossValF1(t *testing.T) {
 	}
 	if _, err := ml.CrossValF1(func() ml.Classifier { return nil }, nil, nil, 2, 3, 0, util.NewRNG(1)); err == nil {
 		t.Fatal("empty data should fail")
-	}
-}
-
-func TestGridSearchPicksStrongerFamily(t *testing.T) {
-	X, y := xorish(600, 53)
-	builders := map[string]func() ml.Classifier{
-		"rf": func() ml.Classifier { return forest.NewClassifier(forest.Config{Trees: 20, Seed: 3}) },
-		"lr": func() ml.Classifier { return linear.NewLogistic(linear.Config{Epochs: 20, Seed: 4}) },
-	}
-	points, best, err := ml.GridSearch(builders, X, y, 3, 3, 0, util.NewRNG(6), []string{"lr", "rf"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != 2 {
-		t.Fatalf("points: %d", len(points))
-	}
-	// RF must win on the nonlinear problem.
-	if points[best].Name != "rf" {
-		t.Fatalf("grid search picked %s", points[best].Name)
-	}
-	if _, _, err := ml.GridSearch(builders, X, y, 3, 3, 0, util.NewRNG(6), []string{"ghost"}); err == nil {
-		t.Fatal("unknown grid point should fail")
-	}
-}
-
-func TestPermutationImportance(t *testing.T) {
-	// Feature 2 is pure noise; features 0,1 carry all signal.
-	X, y := xorish(600, 55)
-	f := forest.NewClassifier(forest.Config{Trees: 30, Seed: 9})
-	if err := f.Fit(X, y, 3); err != nil {
-		t.Fatal(err)
-	}
-	imp := ml.PermutationImportance(f, X, y, 3, 0, util.NewRNG(11))
-	if len(imp) != 3 {
-		t.Fatalf("importance length: %d", len(imp))
-	}
-	if imp[0] <= imp[2] || imp[1] <= imp[2] {
-		t.Fatalf("signal features must dominate noise: %v", imp)
-	}
-	top := ml.TopFeatures(imp, 2)
-	if len(top) != 2 || (top[0] != 0 && top[0] != 1) {
-		t.Fatalf("top features: %v", top)
-	}
-	if got := ml.TopFeatures(imp, 99); len(got) != 3 {
-		t.Fatal("k beyond dim should clamp")
-	}
-	if ml.PermutationImportance(f, nil, nil, 3, 0, util.NewRNG(1)) != nil {
-		t.Fatal("empty input should be nil")
 	}
 }

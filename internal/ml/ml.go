@@ -237,17 +237,6 @@ func Subset(X [][]float64, y []int, idx []int) ([][]float64, []int) {
 	return sx, sy
 }
 
-// SubsetF selects rows of X and float targets by index.
-func SubsetF(X [][]float64, y []float64, idx []int) ([][]float64, []float64) {
-	sx := make([][]float64, len(idx))
-	sy := make([]float64, len(idx))
-	for i, j := range idx {
-		sx[i] = X[j]
-		sy[i] = y[j]
-	}
-	return sx, sy
-}
-
 // Standardizer scales features to zero mean and unit variance; DNNs and
 // logistic regression need it, trees do not.
 type Standardizer struct {

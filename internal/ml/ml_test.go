@@ -176,9 +176,4 @@ func TestSubset(t *testing.T) {
 	if sx[0][0] != 3 || sy[1] != 10 {
 		t.Fatal("subset wrong")
 	}
-	yf := []float64{1.5, 2.5, 3.5}
-	_, syf := SubsetF(X, yf, []int{1})
-	if syf[0] != 2.5 {
-		t.Fatal("subsetF wrong")
-	}
 }

@@ -351,34 +351,6 @@ func TestDNNPartialAndSkipAndHighway(t *testing.T) {
 	}
 }
 
-func TestDNNTransferRetrain(t *testing.T) {
-	X, y := xorish(500, 34)
-	net := nn.New(nn.Config{
-		Hidden: []nn.LayerSpec{{Kind: nn.Dense, Out: 12, Act: nn.Tanh}, {Kind: nn.Dense, Out: 12, Act: nn.Tanh}},
-		Epochs: 25, Seed: 35,
-	})
-	if err := net.Fit(X, y, 3); err != nil {
-		t.Fatal(err)
-	}
-	// Retrain on flipped labels with everything frozen but the output.
-	y2 := make([]int, len(y))
-	for i, v := range y {
-		y2[i] = (v + 1) % 3
-	}
-	net.FreezeAllButLast(0)
-	if err := net.Retrain(X, y2, 25); err != nil {
-		t.Fatal(err)
-	}
-	if acc := accuracy(net, X, y2); acc < 0.6 {
-		t.Fatalf("transfer retrain failed to adapt: %v", acc)
-	}
-	// Retrain without Fit must fail.
-	fresh := nn.New(nn.Config{Hidden: []nn.LayerSpec{{Kind: nn.Dense, Out: 4}}})
-	if err := fresh.Retrain(X, y, 5); err == nil {
-		t.Fatal("retrain before fit should fail")
-	}
-}
-
 func TestDNNPartialRequiresGroups(t *testing.T) {
 	net := nn.New(nn.Config{Hidden: []nn.LayerSpec{{Kind: nn.PartialGroup, Out: 2}}})
 	if err := net.Fit([][]float64{{1, 2}}, []int{0}, 2); err == nil {

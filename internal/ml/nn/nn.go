@@ -146,7 +146,6 @@ type layer struct {
 	blocks []*block
 	gate   []*block // highway transform gate
 	outDim int
-	frozen bool
 	// caches for backward (per sample, single-threaded training)
 	inCache   []float64
 	preCache  []float64
@@ -437,30 +436,10 @@ func (n *Net) Fit(X [][]float64, y []int, numClasses int) error {
 		}
 		n.std = ml.FitStandardizer(X)
 	}
-	return n.train(X, y, n.cfg.Epochs)
+	return n.train(X, y)
 }
 
-// Retrain continues training with current weights (honouring frozen
-// layers), the transfer-learning path of §6.2.3.
-func (n *Net) Retrain(X [][]float64, y []int, epochs int) error {
-	if !n.built {
-		return fmt.Errorf("nn: Retrain before Fit")
-	}
-	if epochs <= 0 {
-		epochs = n.cfg.Epochs
-	}
-	return n.train(X, y, epochs)
-}
-
-// FreezeAllButLast freezes every hidden layer except the last k (the output
-// layer always stays trainable).
-func (n *Net) FreezeAllButLast(k int) {
-	for i, l := range n.layers {
-		l.frozen = i < len(n.layers)-k
-	}
-}
-
-func (n *Net) train(X [][]float64, y []int, epochs int) error {
+func (n *Net) train(X [][]float64, y []int) error {
 	sp := obs.StartSpan("train.nn")
 	defer sp.End()
 	Xs := n.std.TransformAll(X)
@@ -482,7 +461,7 @@ func (n *Net) train(X [][]float64, y []int, epochs int) error {
 	bestLoss := math.Inf(1)
 	plateau := 0
 	adapts := 0
-	for ep := 0; ep < epochs; ep++ {
+	for ep := 0; ep < n.cfg.Epochs; ep++ {
 		n.rng.Shuffle(nrows, func(i, j int) { order[i], order[j] = order[j], order[i] })
 		var epochLoss float64
 		for start := 0; start < nrows; start += n.cfg.BatchSize {
@@ -544,7 +523,7 @@ func (n *Net) train(X [][]float64, y []int, epochs int) error {
 	return nil
 }
 
-// applyGrads performs one Adam step over all unfrozen blocks.
+// applyGrads performs one Adam step over all blocks.
 func (n *Net) applyGrads(gW map[*block][][]float64, gB map[*block][]float64, batchSize float64) {
 	n.adamT++
 	b1c := 1 - math.Pow(0.9, float64(n.adamT))
@@ -564,9 +543,6 @@ func (n *Net) applyGrads(gW map[*block][][]float64, gB map[*block][]float64, bat
 		}
 	}
 	for _, l := range n.layers {
-		if l.frozen {
-			continue
-		}
 		for _, b := range l.blocks {
 			if !b.isPassthrough() {
 				step(b)

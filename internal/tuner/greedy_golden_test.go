@@ -46,10 +46,6 @@ func greedySweep(t *testing.T, parallelism int, cmps []namedCmp) ([]string, [][3
 		variant{"storage64k", Options{MaxNewIndexes: 5, StorageBudget: 64 << 10}, 0},
 		variant{"compress-x3", Options{MaxNewIndexes: 4, Compress: true}, 3},
 	)
-	gates := func() [3]int64 {
-		c := obs.TakeSnapshot().Counters
-		return [3]int64{c["tuner.gate.regression"], c["tuner.gate.improvement"], c["tuner.gate.unsure"]}
-	}
 	var lines []string
 	var counts [][3]int64
 	for _, w := range []*workload.Workload{
@@ -66,12 +62,12 @@ func greedySweep(t *testing.T, parallelism int, cmps []namedCmp) ([]string, [][3
 					qs = workload.Replicate(qs, v.replicate)
 				}
 				v.opts.Parallelism = parallelism
-				before := gates()
+				before := gateCounts()
 				rec, err := New(w.Schema, whatIf, c.cmp, v.opts).TuneWorkload(context.Background(), qs, nil)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
-				after := gates()
+				after := gateCounts()
 				ids := make([]string, len(rec.NewIndexes))
 				for i, ix := range rec.NewIndexes {
 					ids[i] = ix.ID()
@@ -82,6 +78,13 @@ func greedySweep(t *testing.T, parallelism int, cmps []namedCmp) ([]string, [][3
 		}
 	}
 	return lines, counts
+}
+
+// gateCounts reads the gate-verdict counters (regression, improvement,
+// unsure); obs must be enabled.
+func gateCounts() [3]int64 {
+	c := obs.TakeSnapshot().Counters
+	return [3]int64{c["tuner.gate.regression"], c["tuner.gate.improvement"], c["tuner.gate.unsure"]}
 }
 
 // TestWorkloadGreedyGolden pins TuneWorkload's recommendations and their

@@ -116,7 +116,11 @@ type Tuner struct {
 	Schema *catalog.Schema
 	WhatIf *opt.WhatIf
 	// Cmp is the plan-pair comparator gating the search; nil reproduces
-	// the classic estimate-only tuner.
+	// the classic estimate-only tuner. Each TuneQuery and TuneWorkload call
+	// gates through its own models.Memoize(Cmp): a *models.Classifier
+	// classifies each distinct plan pair once per call, and no verdict
+	// outlives the call, so a model retrained or swapped between calls is
+	// always the one asked.
 	Cmp  models.Comparator
 	Opts Options
 
@@ -260,14 +264,14 @@ func gateVerdict(v expdata.Label) bool {
 	return true
 }
 
-// gate runs one step's no-regression gate. probe(k) returns the k-th
-// (initial plan, candidate plan) pair, or the error of the probe behind it;
-// the first error in k order is returned before anything is classified.
-// Otherwise the pairs are classified by one models.CompareAll call and the
-// verdicts are returned untallied: callers feed them to gateVerdict in k
-// order. The verdicts are nil when there is no comparator (the classic
-// tuner trusts estimates) or no pair.
-func (t *Tuner) gate(n int, probe func(k int) (p0, p *plan.Plan, err error)) ([]expdata.Label, error) {
+// gate runs one step's no-regression gate with cmp, the call's memoized
+// t.Cmp. probe(k) returns the k-th (initial plan, candidate plan) pair, or
+// the error of the probe behind it; the first error in k order is returned
+// before anything is classified. Otherwise the pairs are classified by one
+// models.CompareAll call and the verdicts are returned untallied: callers
+// feed them to gateVerdict in k order. The verdicts are nil when there is
+// no comparator (the classic tuner trusts estimates) or no pair.
+func gate(cmp models.Comparator, n int, probe func(k int) (p0, p *plan.Plan, err error)) ([]expdata.Label, error) {
 	pairs := make([]models.PlanPair, n)
 	for k := range pairs {
 		var err error
@@ -275,15 +279,15 @@ func (t *Tuner) gate(n int, probe func(k int) (p0, p *plan.Plan, err error)) ([]
 			return nil, err
 		}
 	}
-	if t.Cmp == nil || n == 0 {
+	if cmp == nil || n == 0 {
 		return nil, nil
 	}
-	return models.CompareAll(t.Cmp, pairs, nil), nil
+	return models.CompareAll(cmp, pairs, nil), nil
 }
 
 // better decides whether candidate pH improves on the incumbent pBest,
-// using the comparator when present (optimizer estimates break unsure
-// ties, §5), otherwise estimated cost.
+// using cmp, the call's memoized t.Cmp, when present (optimizer estimates
+// break unsure ties, §5), otherwise estimated cost.
 //
 // Invariant: within one greedy step every candidate is gated against the
 // same incumbent — the best plan of the previous step — never against the
@@ -292,9 +296,9 @@ func (t *Tuner) gate(n int, probe func(k int) (p0, p *plan.Plan, err error)) ([]
 // moving leader would make the chosen index depend on candidate iteration
 // order. Survivors of the fixed gate are instead ranked by one
 // deterministic rule: lowest estimated cost, earliest candidate on ties.
-func (t *Tuner) better(pBest, pH *plan.Plan) bool {
-	if t.Cmp != nil {
-		switch t.Cmp.Compare(pBest, pH) {
+func (t *Tuner) better(cmp models.Comparator, pBest, pH *plan.Plan) bool {
+	if cmp != nil {
+		switch cmp.Compare(pBest, pH) {
 		case expdata.Improvement:
 			return true
 		case expdata.Regression:
@@ -328,6 +332,12 @@ type queryProbe struct {
 // and inside every probe, so a cancelled tune returns ctx.Err() within one
 // what-if probe's latency instead of running the full enumeration.
 func (t *Tuner) TuneQuery(ctx context.Context, q *query.Query, c0 *catalog.Configuration) (*Recommendation, error) {
+	return t.tuneQuery(ctx, q, c0, models.Memoize(t.Cmp))
+}
+
+// tuneQuery is TuneQuery gated by cmp, which TuneWorkload shares across
+// its query searches.
+func (t *Tuner) tuneQuery(ctx context.Context, q *query.Query, c0 *catalog.Configuration, cmp models.Comparator) (*Recommendation, error) {
 	sp := obs.StartSpan("tuner.query")
 	defer sp.End()
 	if ctx == nil {
@@ -372,7 +382,7 @@ func (t *Tuner) TuneQuery(ctx context.Context, q *query.Query, c0 *catalog.Confi
 		// every candidate against the initial plan, rank the survivors
 		// against the step's fixed incumbent (bestPlan), then keep the
 		// lowest-cost one.
-		verdicts, err := t.gate(len(probes), func(i int) (*plan.Plan, *plan.Plan, error) {
+		verdicts, err := gate(cmp, len(probes), func(i int) (*plan.Plan, *plan.Plan, error) {
 			return p0, probes[i].p, probes[i].err
 		})
 		if err != nil {
@@ -383,7 +393,7 @@ func (t *Tuner) TuneQuery(ctx context.Context, q *query.Query, c0 *catalog.Confi
 			if verdicts != nil && !gateVerdict(verdicts[i]) {
 				continue
 			}
-			if !t.better(bestPlan, pr.p) {
+			if !t.better(cmp, bestPlan, pr.p) {
 				continue
 			}
 			if step == nil || pr.p.EstTotalCost < step.p.EstTotalCost {
@@ -441,7 +451,7 @@ type WorkloadRecommendation struct {
 // so the result (including float summation order) matches re-planning
 // every query. On success the returned slice holds every query's plan
 // under cfg.
-func (t *Tuner) workloadCost(ctx context.Context, qs []*query.Query, initPlans, curPlans []*plan.Plan, touched []int, cfg *catalog.Configuration) ([]*plan.Plan, float64, bool, error) {
+func (t *Tuner) workloadCost(ctx context.Context, cmp models.Comparator, qs []*query.Query, initPlans, curPlans []*plan.Plan, touched []int, cfg *catalog.Configuration) ([]*plan.Plan, float64, bool, error) {
 	plans := append([]*plan.Plan(nil), curPlans...)
 	errs := make([]error, len(touched))
 	t.parallelFor(len(touched), func(k int) {
@@ -451,7 +461,7 @@ func (t *Tuner) workloadCost(ctx context.Context, qs []*query.Query, initPlans, 
 		}
 		plans[i], errs[k] = t.WhatIf.Plan(qs[i], cfg)
 	})
-	verdicts, err := t.gate(len(touched), func(k int) (*plan.Plan, *plan.Plan, error) {
+	verdicts, err := gate(cmp, len(touched), func(k int) (*plan.Plan, *plan.Plan, error) {
 		i := touched[k]
 		return initPlans[i], plans[i], errs[k]
 	})
@@ -504,6 +514,7 @@ func (t *Tuner) TuneWorkload(ctx context.Context, qs []*query.Query, c0 *catalog
 	if t.Opts.Compress {
 		qs = CompressWorkload(qs)
 	}
+	cmp := models.Memoize(t.Cmp) // shared by both phases
 	initPlans := make([]*plan.Plan, len(qs))
 	initErrs := make([]error, len(qs))
 	t.parallelFor(len(qs), func(i int) {
@@ -523,7 +534,7 @@ func (t *Tuner) TuneWorkload(ctx context.Context, qs []*query.Query, c0 *catalog
 	recs := make([]*Recommendation, len(qs))
 	recErrs := make([]error, len(qs))
 	t.parallelFor(len(qs), func(i int) {
-		recs[i], recErrs[i] = t.TuneQuery(ctx, qs[i], c0)
+		recs[i], recErrs[i] = t.tuneQuery(ctx, qs[i], c0, cmp)
 	})
 	poolSet := map[string]*catalog.Index{}
 	var pool []*catalog.Index
@@ -581,7 +592,7 @@ func (t *Tuner) TuneWorkload(ctx context.Context, qs []*query.Query, c0 *catalog
 		mWStepCands.Observe(float64(len(probes)))
 		t.parallelFor(len(probes), func(i int) {
 			pr := probes[i]
-			pr.plans, pr.cost, pr.ok, pr.err = t.workloadCost(ctx, qs, initPlans, curPlans, pr.touched, pr.cfg)
+			pr.plans, pr.cost, pr.ok, pr.err = t.workloadCost(ctx, cmp, qs, initPlans, curPlans, pr.touched, pr.cfg)
 		})
 		// First candidate at the strictly lowest cost wins, as in the
 		// serial enumeration.

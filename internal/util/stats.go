@@ -41,20 +41,6 @@ func Sum(xs []float64) float64 {
 	return s
 }
 
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)))
-}
-
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
 // interpolation between closest ranks. It copies the input.
 func Percentile(xs []float64, p float64) float64 {
@@ -81,17 +67,6 @@ func Percentile(xs []float64, p float64) float64 {
 
 // Clip bounds x to [lo, hi].
 func Clip(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
-}
-
-// ClipInt bounds x to [lo, hi].
-func ClipInt(x, lo, hi int) int {
 	if x < lo {
 		return lo
 	}
@@ -139,12 +114,6 @@ func HarmonicMean(a, b float64) float64 {
 		return 0
 	}
 	return 2 * a * b / (a + b)
-}
-
-// Log10Clipped returns log10(x) with x clipped into [lo, hi] first; useful
-// for cost-ratio labels that span orders of magnitude.
-func Log10Clipped(x, lo, hi float64) float64 {
-	return math.Log10(Clip(x, lo, hi))
 }
 
 // SafeDiv divides a by b, clipping the quotient symmetrically into

@@ -130,25 +130,6 @@ func Suite(o Opts) []*Workload {
 	return ws
 }
 
-// SuiteNames lists the database names in suite order.
-func SuiteNames() []string {
-	return []string{
-		"tpch10", "tpch100", "tpcds10", "tpcds100",
-		"cust1", "cust2", "cust3", "cust4", "cust5", "cust6",
-		"cust7", "cust8", "cust9", "cust10", "cust11",
-	}
-}
-
-// ByName builds a single suite workload by name at the given options.
-func ByName(name string, o Opts) *Workload {
-	for _, w := range Suite(o) {
-		if w.Name == name {
-			return w
-		}
-	}
-	return nil
-}
-
 // intCol is shorthand for an int64 column definition.
 func intCol(name string) catalog.Column {
 	return catalog.Column{Name: name, Type: catalog.TypeInt}

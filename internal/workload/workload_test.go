@@ -112,10 +112,15 @@ func TestSuiteShape(t *testing.T) {
 	if len(ws) != 15 {
 		t.Fatalf("suite should have 15 databases, got %d", len(ws))
 	}
+	order := []string{
+		"tpch10", "tpch100", "tpcds10", "tpcds100",
+		"cust1", "cust2", "cust3", "cust4", "cust5", "cust6",
+		"cust7", "cust8", "cust9", "cust10", "cust11",
+	}
 	names := map[string]bool{}
 	for i, w := range ws {
-		if w.Name != SuiteNames()[i] {
-			t.Fatalf("suite order: %s != %s", w.Name, SuiteNames()[i])
+		if w.Name != order[i] {
+			t.Fatalf("suite order: %s != %s", w.Name, order[i])
 		}
 		if names[w.Name] {
 			t.Fatalf("duplicate workload name %s", w.Name)
@@ -128,16 +133,6 @@ func TestSuiteShape(t *testing.T) {
 	// Scale ordering: tpch100 bigger than tpch10.
 	if ws[1].Schema.TotalBytes() <= ws[0].Schema.TotalBytes() {
 		t.Fatal("tpch100 should be larger than tpch10")
-	}
-}
-
-func TestByName(t *testing.T) {
-	w := ByName("cust3", Opts{Scale: 0.02})
-	if w == nil || w.Name != "cust3" {
-		t.Fatal("ByName lookup failed")
-	}
-	if ByName("nope", Opts{Scale: 0.02}) != nil {
-		t.Fatal("unknown name should be nil")
 	}
 }
 
