@@ -192,16 +192,23 @@ func BenchmarkClassifierTrain(b *testing.B) {
 	}
 }
 
-// benchClassifier trains the RF-100 plan-pair classifier the inference
-// and gated-tuning benchmarks share, returning it with its training pairs.
-func benchClassifier(b *testing.B) (*models.Classifier, []expdata.Pair) {
+// benchPairs collects the labeled TPC-H plan pairs the classifier
+// benchmarks train on.
+func benchPairs(b *testing.B) []expdata.Pair {
 	b.Helper()
 	w := workload.TPCH("bench-infer", 2500, 7)
 	ds, err := expdata.Collect(w, expdata.CollectOpts{Seed: 3, MaxConfigsPerQuery: 8, ExecRepeats: 2})
 	if err != nil {
 		b.Fatal(err)
 	}
-	pairs := ds.Pairs(40, util.NewRNG(9))
+	return ds.Pairs(40, util.NewRNG(9))
+}
+
+// benchClassifier trains the RF-100 plan-pair classifier the inference
+// and gated-tuning benchmarks share, returning it with its training pairs.
+func benchClassifier(b *testing.B) (*models.Classifier, []expdata.Pair) {
+	b.Helper()
+	pairs := benchPairs(b)
 	clf := models.NewClassifier(feat.Default(), models.RF(100, 1), expdata.DefaultAlpha)
 	if err := clf.Train(pairs); err != nil {
 		b.Fatal(err)
@@ -365,6 +372,23 @@ func BenchmarkForestTrain(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		f := forest.NewClassifier(forest.Config{Trees: 60, MinLeaf: 1, ImpurityThreshold: 1e-6, Seed: 7})
 		if err := f.Fit(X, y, 3); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkForestTrainPairs is BenchmarkForestTrain on featurized plan
+// pairs: the learn loop's 60-tree challenger over the pair vectors
+// benchClassifier trains on. Unlike the synthetic matrix, these hold
+// constant and tie-heavy attributes beside continuous ones.
+func BenchmarkForestTrainPairs(b *testing.B) {
+	clf := models.NewClassifier(feat.Default(), nil, expdata.DefaultAlpha)
+	X, y := clf.Vectorize(benchPairs(b))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f := forest.NewClassifier(forest.Config{Trees: 60, MinLeaf: 1, ImpurityThreshold: 1e-6, Seed: 7})
+		if err := f.Fit(X, y, expdata.NumLabels); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -82,8 +82,8 @@ func (f *Classifier) Fit(X [][]float64, y []int, numClasses int) error {
 	}
 	sp := obs.StartSpan("train.forest")
 	defer sp.End()
-	// One presorted column view shared by every tree: each feature is
-	// sorted once for the whole ensemble instead of once per node per tree.
+	// One column view shared by every tree: each feature is ranked once for
+	// the whole ensemble, and every node scans integer ranks, not floats.
 	m := tree.AcquireMatrix(X)
 	defer m.Release()
 	return ml.ParallelFor(f.cfg.Trees, f.cfg.Workers, func(i int) error {
@@ -155,9 +155,6 @@ func (f *Classifier) PredictProbaBatch(X, out [][]float64) [][]float64 {
 	}
 	return out
 }
-
-// NumTrees returns the ensemble size.
-func (f *Classifier) NumTrees() int { return len(f.trees) }
 
 // MaxFeature returns the largest feature index any tree splits on, or -1
 // if every tree is a single leaf.

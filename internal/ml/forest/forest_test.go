@@ -1,8 +1,6 @@
 package forest
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 
 	"repro/internal/ml/tree"
@@ -38,22 +36,22 @@ func TestDefaultsApplied(t *testing.T) {
 	if err := f.Fit(X, y, 2); err != nil {
 		t.Fatal(err)
 	}
-	if f.NumTrees() != 100 {
-		t.Fatalf("default tree count: %d", f.NumTrees())
+	if len(f.trees) != 100 {
+		t.Fatalf("default tree count: %d", len(f.trees))
 	}
 }
 
-func TestSaveLoadRoundTrip(t *testing.T) {
+func TestDumpRoundTrip(t *testing.T) {
 	X, y := tinyData()
 	f := NewClassifier(Config{Trees: 10, Seed: 4})
 	if err := f.Fit(X, y, 2); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := f.Save(&buf); err != nil {
+	d, err := f.EncodeDump()
+	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := Load(&buf)
+	back, err := FromDump(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,23 +63,16 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSaveUntrainedFails(t *testing.T) {
-	var buf bytes.Buffer
-	if err := NewClassifier(Config{}).Save(&buf); err == nil {
-		t.Fatal("saving untrained forest should fail")
-	}
-}
-
-func TestLoadGarbageFails(t *testing.T) {
-	if _, err := Load(strings.NewReader("junk")); err == nil {
-		t.Fatal("garbage should not load")
-	}
-	if _, err := FromDump(&Dump{}); err == nil {
-		t.Fatal("empty dump should not load")
+func TestEncodeDumpUntrainedFails(t *testing.T) {
+	if _, err := NewClassifier(Config{}).EncodeDump(); err == nil {
+		t.Fatal("dumping untrained forest should fail")
 	}
 }
 
 func TestFromDumpRejectsInconsistentDumps(t *testing.T) {
+	if _, err := FromDump(&Dump{}); err == nil {
+		t.Fatal("empty dump should not load")
+	}
 	leaf := &tree.Dump{
 		Feature: []int32{-1}, Thresh: []float64{0}, Left: []int32{0}, Right: []int32{0},
 		Value: []float64{0}, NumClasses: 2, Proba: []float64{0.5, 0.5},

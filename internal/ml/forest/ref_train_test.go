@@ -9,6 +9,7 @@ package forest
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math"
 	"reflect"
 	"testing"
@@ -112,10 +113,46 @@ func refForestData(n, d int, seed int64) ([][]float64, []int, []float64) {
 	return X, y, yf
 }
 
+// forestBlob gob-encodes f's dump: equal blobs mean equal models.
+// refPairShapedForestData is shaped like featurized plan pairs: constant
+// columns (one mixing −0 and +0), a column holding −0 and +0 beside other
+// values, tie-heavy columns, and a continuous column with more distinct
+// values than twice a deep node's samples.
+func refPairShapedForestData(n int, seed int64) ([][]float64, []int) {
+	rng := util.NewRNG(seed)
+	negZero := math.Copysign(0, -1)
+	X := make([][]float64, n)
+	y := make([]int, n)
+	for i := range X {
+		zero := 0.0
+		if rng.Intn(2) == 0 {
+			zero = negZero
+		}
+		signed := []float64{zero, zero, -1.5, 2}[rng.Intn(4)]
+		cont := rng.NormFloat64()
+		tie := float64(rng.Intn(3))
+		X[i] = []float64{0, signed, tie, cont, zero, float64(rng.Intn(2)), 7, float64(rng.Intn(5))}
+		s := 0.8*cont + 0.5*tie + signed/2 + 0.3*rng.NormFloat64()
+		switch {
+		case s < 0:
+			y[i] = 0
+		case s < 1.2:
+			y[i] = 1
+		default:
+			y[i] = 2
+		}
+	}
+	return X, y
+}
+
 func forestBlob(t *testing.T, f *Classifier) []byte {
 	t.Helper()
+	d, err := f.EncodeDump()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
-	if err := f.Save(&buf); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(d); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -129,24 +166,31 @@ func forestBlob(t *testing.T, f *Classifier) []byte {
 // learn loop's gates rely on.
 func TestRefForestClassifierBitExactAcrossWorkers(t *testing.T) {
 	X, y, _ := refForestData(160, 9, 21)
-	cfg := Config{Trees: 24, MinLeaf: 1, ImpurityThreshold: 1e-6, Seed: 7}
-	ref, err := refForestFitClassifier(cfg, X, y, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refBlob := forestBlob(t, ref)
-	for _, workers := range []int{1, 2, 8} {
-		wcfg := cfg
-		wcfg.Workers = workers
-		live := NewClassifier(wcfg)
-		if err := live.Fit(X, y, 3); err != nil {
+	Xp, yp := refPairShapedForestData(200, 13)
+	for _, data := range []struct {
+		name string
+		X    [][]float64
+		y    []int
+	}{{"mixed", X, y}, {"pair-shaped", Xp, yp}} {
+		cfg := Config{Trees: 24, MinLeaf: 1, ImpurityThreshold: 1e-6, Seed: 7}
+		ref, err := refForestFitClassifier(cfg, data.X, data.y, 3)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(live.trees, ref.trees) {
-			t.Fatalf("workers=%d: trees diverged from the frozen serial reference", workers)
-		}
-		if got := forestBlob(t, live); !bytes.Equal(got, refBlob) {
-			t.Fatalf("workers=%d: serialized model differs from the reference (%d vs %d bytes)", workers, len(got), len(refBlob))
+		refBlob := forestBlob(t, ref)
+		for _, workers := range []int{1, 2, 8} {
+			wcfg := cfg
+			wcfg.Workers = workers
+			live := NewClassifier(wcfg)
+			if err := live.Fit(data.X, data.y, 3); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(live.trees, ref.trees) {
+				t.Fatalf("%s, workers=%d: trees diverged from the frozen serial reference", data.name, workers)
+			}
+			if got := forestBlob(t, live); !bytes.Equal(got, refBlob) {
+				t.Fatalf("%s, workers=%d: serialized model differs from the reference (%d vs %d bytes)", data.name, workers, len(got), len(refBlob))
+			}
 		}
 	}
 }

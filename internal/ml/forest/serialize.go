@@ -1,9 +1,7 @@
 package forest
 
 import (
-	"encoding/gob"
 	"fmt"
-	"io"
 
 	"repro/internal/ml/tree"
 )
@@ -56,24 +54,4 @@ func FromDump(d *Dump) (*Classifier, error) {
 		f.trees = append(f.trees, t)
 	}
 	return f, nil
-}
-
-// Save gob-encodes the trained classifier to w. The resulting blob is the
-// deployable model artifact of the paper's architecture (§2.3): trained
-// offline, shipped to tuners.
-func (f *Classifier) Save(w io.Writer) error {
-	d, err := f.EncodeDump()
-	if err != nil {
-		return err
-	}
-	return gob.NewEncoder(w).Encode(d)
-}
-
-// Load reads a classifier previously written by Save.
-func Load(r io.Reader) (*Classifier, error) {
-	var d Dump
-	if err := gob.NewDecoder(r).Decode(&d); err != nil {
-		return nil, fmt.Errorf("forest: decoding model: %w", err)
-	}
-	return FromDump(&d)
 }

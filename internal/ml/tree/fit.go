@@ -21,12 +21,15 @@ import (
 //     tree nodes themselves.
 //   - Sampled scans (MaxFeatures < d, the forest case): presorting and
 //     partitioning all d features would charge every node for columns it
-//     never scans, so instead each sampled feature's node segment is
-//     sorted on demand into a pooled (value, key) buffer. The sort key
-//     reproduces the presorted layout's (value, row, sample) tie order
-//     exactly, so both layouts feed the scans identical sequences and the
-//     accumulated floating-point arithmetic — hence the trees — match
-//     bit for bit.
+//     never scans, so only the sampled features' node segments are looked
+//     at. Classification reads each one through the Matrix's dense value
+//     ranks (scanGiniRanks): class counts per distinct value, gathered by
+//     counting or by sorting packed integer keys, reach the same split
+//     boundaries with the same integer counts as a scan of the sorted
+//     segment. Regression sorts the segment into a pooled (value, key)
+//     buffer whose key reproduces the presorted layout's (value, row,
+//     sample) tie order exactly, so both layouts accumulate the target
+//     sums in the same order and the trees match bit for bit.
 
 // fitScratch is the pooled per-fit working set. Slabs are sized by
 // (features d, samples m, rows n) and reused across fits.
@@ -43,7 +46,9 @@ type fitScratch struct {
 	total  []float64 // node class counts
 	lc, rc []float64 // split-scan class-count buffers
 	feats  []int     // identity feature list (the all-features scan order)
-	pairs  []fvPair  // sampled-mode per-node sort buffer
+	pairs  []fvPair  // sampled regression: per-node sort buffer
+	keys   []uint64  // sampled classification: per-node rank<<32|class sort buffer
+	counts []int32   // sampled classification: rank×class table, all zero between scans
 }
 
 // fvPair is one sample in a sampled-mode feature scan: the feature value
@@ -55,9 +60,9 @@ type fvPair struct {
 }
 
 // cmpFVPair orders by value, then by the (row, sample) key. Capture-free
-// so sampled-mode sorts stay allocation-free. Regression scans use it: the
-// total order pins the floating-point accumulation order of the target
-// sums to the full-scan layout's, keeping split gains bit-identical.
+// so sampled-mode sorts stay allocation-free. The total order pins the
+// floating-point accumulation order of the target sums to the full-scan
+// layout's, keeping split gains bit-identical.
 func cmpFVPair(a, b fvPair) int {
 	switch {
 	case a.v < b.v:
@@ -67,21 +72,6 @@ func cmpFVPair(a, b fvPair) int {
 	case a.key < b.key:
 		return -1
 	case a.key > b.key:
-		return 1
-	}
-	return 0
-}
-
-// cmpFVPairValue orders by value alone. Classification scans use it: class
-// counts at distinct-value boundaries are exact integers whatever order
-// ties land in, so gains are bit-identical anyway — and leaving duplicates
-// equal keeps pdqsort's equal-element fast path, which matters on the
-// tie-heavy telemetry features the learn loop trains on.
-func cmpFVPairValue(a, b fvPair) int {
-	switch {
-	case a.v < b.v:
-		return -1
-	case a.v > b.v:
 		return 1
 	}
 	return 0
@@ -103,13 +93,32 @@ func growF64(b []float64, n int) []float64 {
 	return b[:n]
 }
 
+func growU32(b []uint32, n int) []uint32 {
+	if cap(b) < n {
+		return make([]uint32, n)
+	}
+	return b[:n]
+}
+
 func (sc *fitScratch) ensure(d, m, rows, k int, sampled bool) {
-	if sampled {
+	switch {
+	case sampled && k > 0:
+		if cap(sc.keys) < m {
+			sc.keys = make([]uint64, m)
+		}
+		sc.keys = sc.keys[:m]
+		// A feature has at most rows distinct values. Fresh cells are
+		// zero, and every scan leaves the cells it counted into zero.
+		if cap(sc.counts) < rows*k {
+			sc.counts = make([]int32, rows*k)
+		}
+		sc.counts = sc.counts[:rows*k]
+	case sampled:
 		if cap(sc.pairs) < m {
 			sc.pairs = make([]fvPair, m)
 		}
 		sc.pairs = sc.pairs[:m]
-	} else {
+	default:
 		sc.ord = growI32(sc.ord, d*m)
 		sc.rowSmp = growI32(sc.rowSmp, m)
 		sc.rowPos = growI32(sc.rowPos, rows+1)
@@ -163,6 +172,9 @@ func (t *Tree) fitMatrix(m *Matrix, y []int, yf []float64, k int, idx []int) {
 		msamp = len(idx)
 	}
 	sampled := t.cfg.MaxFeatures > 0 && t.cfg.MaxFeatures < d
+	if sampled && k > 0 {
+		m.ensureRanks()
+	}
 	sc.ensure(d, msamp, rows, k, sampled)
 	for s := 0; s < msamp; s++ {
 		r := s
@@ -374,13 +386,10 @@ func (e *fitEngine) bestSplit(lo, hi int) (feat int, thresh float64, ok bool) {
 		var g, th float64
 		var found bool
 		switch {
+		case e.sampled && e.k > 0:
+			g, th, found = e.scanGiniRanks(f, lo, hi)
 		case e.sampled:
-			pairs := e.sortSeg(f, lo, hi)
-			if e.k > 0 {
-				g, th, found = e.scanGiniPairs(pairs, e.sc.lc, e.sc.rc)
-			} else {
-				g, th, found = e.scanVarPairs(pairs)
-			}
+			g, th, found = e.scanVarPairs(e.sortSeg(f, lo, hi))
 		case e.k > 0:
 			g, th, found = e.scanGini(f, lo, hi, e.sc.lc, e.sc.rc)
 		default:
@@ -394,9 +403,10 @@ func (e *fitEngine) bestSplit(lo, hi int) (feat int, thresh float64, ok bool) {
 }
 
 // sortSeg materializes feature f's sorted view of the node segment
-// [lo, hi) for a sampled fit. The composite key makes the result exactly
-// the sequence the full-scan layout's partitioned ord slab would hold, so
-// every downstream accumulation is bit-identical between the two modes.
+// [lo, hi) for a sampled regression fit. The composite key makes the
+// result exactly the sequence the full-scan layout's partitioned ord slab
+// would hold, so every downstream accumulation is bit-identical between
+// the two modes.
 func (e *fitEngine) sortSeg(f, lo, hi int) []fvPair {
 	sc := e.sc
 	col := e.m.cols[f]
@@ -406,11 +416,7 @@ func (e *fitEngine) sortSeg(f, lo, hi int) []fvPair {
 		r := rowOf[s]
 		pairs[i] = fvPair{v: col[r], key: int64(r)<<32 | int64(s)}
 	}
-	if e.k > 0 {
-		slices.SortFunc(pairs, cmpFVPairValue)
-	} else {
-		slices.SortFunc(pairs, cmpFVPair)
-	}
+	slices.SortFunc(pairs, cmpFVPair)
 	return pairs
 }
 
@@ -482,13 +488,8 @@ func (e *fitEngine) scanGini(f, lo, hi int, left, right []float64) (gain, thresh
 		vn := col[rowOf[seg[p+1]]]
 		if vp != vn {
 			nl := p + 1
-			nr := n - nl
-			if nl >= minLeaf && nr >= minLeaf {
-				for c := range right {
-					right[c] = total[c] - left[c]
-				}
-				g := parent - (float64(nl)*giniOf(left, float64(nl))+float64(nr)*giniOf(right, float64(nr)))/float64(n)
-				if g > gain {
+			if nl >= minLeaf && n-nl >= minLeaf {
+				if g := splitGini(total, left, right, parent, nl, n); g > gain {
 					gain = g
 					thresh = (vp + vn) / 2
 					ok = true
@@ -496,6 +497,130 @@ func (e *fitEngine) scanGini(f, lo, hi int, left, right []float64) (gain, thresh
 			}
 		}
 		vp = vn
+	}
+	return gain, thresh, ok
+}
+
+// splitGini is the Gini reduction of splitting n samples with class
+// counts total and impurity parent into the nl samples counted in left
+// and the rest, whose counts it writes to right.
+func splitGini(total, left, right []float64, parent float64, nl, n int) float64 {
+	nr := n - nl
+	for c := range right {
+		right[c] = total[c] - left[c]
+	}
+	return parent - (float64(nl)*giniOf(left, float64(nl))+float64(nr)*giniOf(right, float64(nr)))/float64(n)
+}
+
+// Sampled classification scans gather class counts per rank by counting
+// when the feature has at most countRanksPerSample distinct values per
+// node sample, and by sorting packed keys otherwise: counting walks the
+// ranks between the node's smallest and largest, sorting pays log n per
+// sample. The factor was chosen by timing forest fits on featurized plan
+// pairs and on synthetic data (EXPERIMENTS.md).
+const countRanksPerSample = 2
+
+// scanGiniRanks is scanGini for a sampled fit, read through the Matrix's
+// dense value ranks. It evaluates exactly the splits scanGini would on
+// the node's sorted segment: scanGini stops only between two distinct
+// values, where the samples left of the boundary are those of rank at
+// most the lower value's, and their class counts are integers, exact
+// whatever order ties were sorted in. So walking the node's present
+// ranks in ascending order meets the same boundaries in the same order
+// with the same counts and the same two values per threshold, and every
+// gain and tie-break comes out bit-identical.
+func (e *fitEngine) scanGiniRanks(f, lo, hi int) (gain, thresh float64, ok bool) {
+	vals := e.m.vals[f]
+	if len(vals) < 2 {
+		return 0, 0, false // constant over the whole Matrix
+	}
+	n := hi - lo
+	if len(vals) <= countRanksPerSample*n {
+		return e.countGini(f, lo, hi)
+	}
+	return e.sortGini(f, lo, hi)
+}
+
+// countGini is scanGiniRanks by counting: the node's samples go into the
+// rank×class table, and the walk over the counted ranks clears each row
+// after reading it, leaving the table zero for the next scan.
+func (e *fitEngine) countGini(f, lo, hi int) (gain, thresh float64, ok bool) {
+	sc := e.sc
+	rank, vals, k := e.m.rank[f], e.m.vals[f], e.k
+	counts := sc.counts
+	rmin, rmax := len(vals), 0
+	for _, s := range sc.orig[lo:hi] {
+		r := int(rank[sc.rowOf[s]])
+		counts[r*k+int(sc.cls[s])]++
+		rmin, rmax = min(rmin, r), max(rmax, r)
+	}
+	if rmin == rmax {
+		clear(counts[rmin*k : (rmin+1)*k])
+		return 0, 0, false // constant within the node
+	}
+	n := hi - lo
+	total, left, right := sc.total, sc.lc, sc.rc
+	parent := giniOf(total, float64(n))
+	clear(left)
+	nl, prev := 0, -1
+	for r := rmin; r <= rmax; r++ {
+		row := counts[r*k : (r+1)*k]
+		var m int32
+		for _, c := range row {
+			m += c
+		}
+		if m == 0 {
+			continue
+		}
+		if prev >= 0 && nl >= e.minLeaf && n-nl >= e.minLeaf {
+			if g := splitGini(total, left, right, parent, nl, n); g > gain {
+				gain = g
+				thresh = (vals[prev] + vals[r]) / 2
+				ok = true
+			}
+		}
+		for c, x := range row {
+			left[c] += float64(x)
+		}
+		clear(row)
+		nl += int(m)
+		prev = r
+	}
+	return gain, thresh, ok
+}
+
+// sortGini is scanGiniRanks by sorting the node's rank<<32|class keys:
+// ascending keys list the samples by rank, ties by class.
+func (e *fitEngine) sortGini(f, lo, hi int) (gain, thresh float64, ok bool) {
+	sc := e.sc
+	rank, vals := e.m.rank[f], e.m.vals[f]
+	n := hi - lo
+	keys := sc.keys[:n]
+	for i, s := range sc.orig[lo:hi] {
+		keys[i] = uint64(rank[sc.rowOf[s]])<<32 | uint64(sc.cls[s])
+	}
+	slices.Sort(keys)
+	rp := keys[0] >> 32
+	if rp == keys[n-1]>>32 {
+		return 0, 0, false // constant within the node
+	}
+	total, left, right := sc.total, sc.lc, sc.rc
+	parent := giniOf(total, float64(n))
+	clear(left)
+	for p := 0; p < n-1; p++ {
+		left[uint32(keys[p])]++
+		rn := keys[p+1] >> 32
+		if rp != rn {
+			nl := p + 1
+			if nl >= e.minLeaf && n-nl >= e.minLeaf {
+				if g := splitGini(total, left, right, parent, nl, n); g > gain {
+					gain = g
+					thresh = (vals[rp] + vals[rn]) / 2
+					ok = true
+				}
+			}
+		}
+		rp = rn
 	}
 	return gain, thresh, ok
 }
@@ -533,45 +658,6 @@ func (e *fitEngine) scanVar(f, lo, hi int) (gain, thresh float64, ok bool) {
 				lVar := lSq/nl - (lSum/nl)*(lSum/nl)
 				rVar := rSq/nr - (rSum/nr)*(rSum/nr)
 				g := parent - (nl*lVar+nr*rVar)/float64(n)
-				if g > gain {
-					gain = g
-					thresh = (vp + vn) / 2
-					ok = true
-				}
-			}
-		}
-		vp = vn
-	}
-	return gain, thresh, ok
-}
-
-// scanGiniPairs is scanGini over a sampled-mode sorted segment. The low 32
-// bits of each key are the sample id (samples and rows are non-negative,
-// so the truncation is exact).
-func (e *fitEngine) scanGiniPairs(pairs []fvPair, left, right []float64) (gain, thresh float64, ok bool) {
-	sc := e.sc
-	n := len(pairs)
-	vp := pairs[0].v
-	if vp == pairs[n-1].v {
-		return 0, 0, false // constant feature
-	}
-	total := sc.total
-	parent := giniOf(total, float64(n))
-	for c := range left {
-		left[c] = 0
-	}
-	minLeaf := e.minLeaf
-	for p := 0; p < n-1; p++ {
-		left[sc.cls[int32(pairs[p].key)]]++
-		vn := pairs[p+1].v
-		if vp != vn {
-			nl := p + 1
-			nr := n - nl
-			if nl >= minLeaf && nr >= minLeaf {
-				for c := range right {
-					right[c] = total[c] - left[c]
-				}
-				g := parent - (float64(nl)*giniOf(left, float64(nl))+float64(nr)*giniOf(right, float64(nr)))/float64(n)
 				if g > gain {
 					gain = g
 					thresh = (vp + vn) / 2

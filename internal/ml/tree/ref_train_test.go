@@ -271,6 +271,52 @@ func refData(n, d int, seed int64, tieHeavy bool) ([][]float64, []int, []float64
 	return X, y, yf
 }
 
+// refPairShapedData generates n×12 training data shaped like featurized
+// plan pairs, for the sampled fits' rank-coded scans:
+//   - four columns constant over every row, one of them mixing −0 and +0;
+//   - a column holding both −0 and +0 beside other values, which the label
+//     reads;
+//   - tie-heavy columns of 2 to 5 values;
+//   - a continuous column with a distinct value per row: nodes of fewer
+//     than n/2 samples find its splits by sorting, larger ones by counting;
+//   - a column of about 100 values.
+func refPairShapedData(n int, seed int64) ([][]float64, []int) {
+	rng := util.NewRNG(seed)
+	negZero := math.Copysign(0, -1)
+	X := make([][]float64, n)
+	y := make([]int, n)
+	for i := range X {
+		zero := 0.0
+		if rng.Intn(2) == 0 {
+			zero = negZero
+		}
+		signed := []float64{zero, zero, zero, -1.5, 2, 0.25}[rng.Intn(6)]
+		cont := rng.NormFloat64()
+		tie := float64(rng.Intn(3))
+		X[i] = []float64{
+			0, 3.5, signed, tie, cont, zero,
+			float64(rng.Intn(2)), 0.5 * float64(rng.Intn(5)), 1e9,
+			float64(rng.Intn(4) - 2), math.Round(100*rng.Float64()) / 100, 0,
+		}
+		s := 0.8*cont + 0.5*tie + 0.3*rng.NormFloat64()
+		switch {
+		case signed < 0:
+			s -= 1
+		case signed > 0:
+			s += 1
+		}
+		switch {
+		case s < 0:
+			y[i] = 0
+		case s < 1.2:
+			y[i] = 1
+		default:
+			y[i] = 2
+		}
+	}
+	return X, y
+}
+
 // refBootstrap mirrors the forest's bootstrap: n draws with replacement.
 func refBootstrap(n int, rng *util.RNG) []int {
 	idx := make([]int, n)
@@ -340,6 +386,30 @@ func TestRefTrainClassifierBootstrapBitExact(t *testing.T) {
 		}
 		requireIdentical(t, fmt.Sprintf("bootstrap%d", trial), live, refFitClassifier(cfg, X, y, 3, idx))
 	}
+
+	// Plan-pair-shaped data on one shared Matrix, as a forest fits it:
+	// constant columns are skipped, −0 and +0 share a rank, tie-heavy
+	// columns are counted, and the continuous column takes both the
+	// counting and the sorting scan within one tree. On refData's integer
+	// values a threshold taken from ranks would equal one taken from
+	// values; here it would not.
+	Xp, yp := refPairShapedData(300, 11)
+	m := AcquireMatrix(Xp)
+	defer m.Release()
+	rng = util.NewRNG(19)
+	for ci, cfg := range []Config{
+		{MaxFeatures: 3, Seed: 1},
+		{MaxFeatures: 4, ImpurityThreshold: 1e-6, Seed: 2},
+		{MaxFeatures: 6, MinLeaf: 3, Seed: 3},
+		{MaxFeatures: 5, MaxDepth: 5, ImpurityThreshold: 0.1, Seed: 4},
+	} {
+		idx := refBootstrap(len(Xp), rng)
+		live := New(cfg)
+		if err := live.FitClassifierMatrix(m, yp, 3, idx); err != nil {
+			t.Fatal(err)
+		}
+		requireIdentical(t, fmt.Sprintf("pair-shaped/cfg%d", ci), live, refFitClassifier(cfg, Xp, yp, 3, idx))
+	}
 }
 
 func TestRefTrainRegressorBitExact(t *testing.T) {
@@ -394,10 +464,13 @@ func TestRefTrainParallelScanBitExact(t *testing.T) {
 }
 
 // TestRefTrainMatrixReuse pins that a shared, reused Matrix (the forest
-// path) trains the same trees as the row-major entry point.
+// path) trains the same trees as the reference: across fits on one
+// dataset, and after it is released and acquired, or Reset, for other
+// data. A pooled Matrix keeps its slabs, and ranks or orders left over
+// from its previous data would train wrong trees silently.
 func TestRefTrainMatrixReuse(t *testing.T) {
 	X, y, _ := refData(200, 10, 17, true)
-	m := NewMatrix(X)
+	m := AcquireMatrix(X)
 	rng := util.NewRNG(3)
 	for trial := 0; trial < 3; trial++ {
 		idx := refBootstrap(len(X), rng)
@@ -408,6 +481,32 @@ func TestRefTrainMatrixReuse(t *testing.T) {
 		}
 		requireIdentical(t, fmt.Sprintf("trial%d", trial), viaMatrix, refFitClassifier(cfg, X, y, 3, idx))
 	}
+
+	X1, y1 := refPairShapedData(240, 23)
+	X2, y2, _ := refData(310, 7, 29, false) // another shape, other values
+	X3, y3 := refPairShapedData(240, 31)    // X1's shape, other values
+	fitBoth := func(name string, X [][]float64, y []int) {
+		t.Helper()
+		for _, cfg := range []Config{{MaxFeatures: 3, Seed: 5}, {MinLeaf: 2}} {
+			live := New(cfg)
+			if err := live.FitClassifierMatrix(m, y, 3, nil); err != nil {
+				t.Fatal(err)
+			}
+			requireIdentical(t, fmt.Sprintf("%s/maxfeat=%d", name, cfg.MaxFeatures), live, refFitClassifier(cfg, X, y, 3, nil))
+		}
+	}
+	m.Release()
+	m = AcquireMatrix(X1)
+	fitBoth("reacquired", X1, y1)
+	m.Release()
+	m = AcquireMatrix(X2)
+	fitBoth("reacquired again", X2, y2)
+	// The pool may hand out a fresh Matrix; Reset is what a reused one runs.
+	m.Reset(X3)
+	fitBoth("reset", X3, y3)
+	m.Reset(X1)
+	fitBoth("reset back", X1, y1)
+	m.Release()
 }
 
 // TestRefTrainDegenerateInputs pins the engine's edge behavior to the

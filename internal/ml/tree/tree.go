@@ -4,10 +4,11 @@
 // an impurity early-stopping threshold, plus per-split feature subsampling
 // for random forests.
 //
-// Training runs over a presorted column-major Matrix (one global sort per
-// feature, threaded through recursion by stable partitioning — see fit.go);
-// the split semantics are pinned bit-exact to the original per-node-sort
-// trainer by ref_train_test.go.
+// Training runs over a column-major Matrix: fits that scan every feature
+// thread one global sort per feature through the recursion by stable
+// partitioning, and feature-subsampled classification fits (forests) read
+// per-feature value ranks — see fit.go. The split semantics are pinned
+// bit-exact to the original per-node-sort trainer by ref_train_test.go.
 package tree
 
 import "fmt"
@@ -59,9 +60,6 @@ type Tree struct {
 	nodes      int
 }
 
-// NumNodes returns the node count (a size/complexity measure).
-func (t *Tree) NumNodes() int { return t.nodes }
-
 // New creates an untrained tree with the given config.
 func New(cfg Config) *Tree { return &Tree{cfg: cfg} }
 
@@ -86,7 +84,7 @@ func (t *Tree) FitRegressor(X [][]float64, y []float64, idx []int) error {
 	return t.FitRegressorMatrix(m, y, idx)
 }
 
-// FitClassifierMatrix trains on the shared presorted view m. idx selects
+// FitClassifierMatrix trains on the shared view m. idx selects
 // samples by row, duplicates allowed (forests pass bootstrap multisets);
 // nil uses every row once. Forests and boosters build m once and share it
 // across trees.

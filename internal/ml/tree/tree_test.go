@@ -64,8 +64,8 @@ func TestMinLeafRegularization(t *testing.T) {
 	if err := big.FitClassifier(X, y, 2, nil); err != nil {
 		t.Fatal(err)
 	}
-	if big.NumNodes() >= small.NumNodes() {
-		t.Fatalf("MinLeaf should shrink the tree: %d vs %d", big.NumNodes(), small.NumNodes())
+	if big.nodes >= small.nodes {
+		t.Fatalf("MinLeaf should shrink the tree: %d vs %d", big.nodes, small.nodes)
 	}
 }
 
@@ -76,8 +76,8 @@ func TestMaxDepthBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Depth-1 tree: a root split with two leaves = 3 nodes max.
-	if tr.NumNodes() > 3 {
-		t.Fatalf("depth 1 tree has %d nodes", tr.NumNodes())
+	if tr.nodes > 3 {
+		t.Fatalf("depth 1 tree has %d nodes", tr.nodes)
 	}
 }
 
