@@ -55,13 +55,9 @@ func printMetricsSummary() {
 	if h, ok := s.Histograms["whatif.probe.latency"]; ok && h.Count > 0 {
 		fmt.Printf("; probe p50 %.3fms p99 %.3fms", 1e3*h.P50, 1e3*h.P99)
 	}
-	if mh, mm := s.Gauges["opt.memo.hit"], s.Gauges["opt.memo.miss"]; mh+mm > 0 {
-		fmt.Printf("\nmetrics: access-path memo hits %.0f misses %.0f (entries %.0f)",
-			mh, mm, s.Gauges["opt.memo.entries"])
-	}
 	// Greedy probes per step: each query-level step plans every eligible
-	// candidate once; a workload-level step re-plans only the queries on
-	// each candidate's table.
+	// candidate once; a workload-level step re-plans only the queries the
+	// candidate is relevant to (opt.Optimizer.Relevant).
 	if h := s.Histograms["tuner.step.candidates"]; h.Count > 0 {
 		fmt.Printf("\nmetrics: query greedy steps %d, what-if calls %.0f (%.1f per step)", h.Count, h.Sum, h.Mean)
 	}

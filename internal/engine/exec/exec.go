@@ -296,21 +296,26 @@ func (e *Executor) Execute(p *plan.Plan, rng *util.RNG) (*Result, error) {
 	return res, nil
 }
 
-// MedianCost executes the plan k times and returns the median measured
-// cost, the paper's robust labeling measure.
-func (e *Executor) MedianCost(p *plan.Plan, rng *util.RNG, k int) (float64, error) {
+// MedianCost executes the plan k times (at least once), run i under
+// rng.SplitInt(i), and returns the median measured cost, the paper's
+// robust labeling measure, with the first run's result.
+func (e *Executor) MedianCost(p *plan.Plan, rng *util.RNG, k int) (float64, *Result, error) {
 	if k < 1 {
 		k = 1
 	}
 	costs := make([]float64, 0, k)
+	var first *Result
 	for i := 0; i < k; i++ {
 		r, err := e.Execute(p, rng.SplitInt(i))
 		if err != nil {
-			return 0, err
+			return 0, nil, err
+		}
+		if i == 0 {
+			first = r
 		}
 		costs = append(costs, r.MeasuredCost)
 	}
-	return util.Median(costs), nil
+	return util.Median(costs), first, nil
 }
 
 // clonePlan deep-copies the plan tree so cached plans are never mutated.

@@ -271,9 +271,16 @@ func TestMedianCostStableUnderNoise(t *testing.T) {
 		Select: []query.ColRef{{Table: "fact", Column: "f_id"}},
 	}
 	p, _ := e.opt.Optimize(q, nil)
-	m1, err := e.exec.MedianCost(p, util.NewRNG(10), 5)
+	m1, first, err := e.exec.MedianCost(p, util.NewRNG(10), 5)
 	if err != nil {
 		t.Fatal(err)
+	}
+	r0, err := e.exec.Execute(p, util.NewRNG(10).SplitInt(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.MeasuredCost != r0.MeasuredCost {
+		t.Fatalf("first result measured %v, want run 0's %v", first.MeasuredCost, r0.MeasuredCost)
 	}
 	r, _ := e.exec.Execute(p, util.NewRNG(11))
 	// Median of 5 noisy runs should be within ~15% of the deterministic work.

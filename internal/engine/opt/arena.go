@@ -20,11 +20,8 @@ import "repro/internal/engine/plan"
 //
 //   - arena objects are valid only within the Optimize call that allocated
 //     them and are recycled wholesale by reset();
-//   - anything that outlives the call — the returned plan and path-memo
-//     entries — is cloned *out* into compact, exactly-sized heap slabs
-//     (planner.cloneOut);
-//   - memo hits are cloned back *into* the arena (planner.cloneIn), so
-//     memo-owned trees are never aliased by live planner state.
+//   - the returned plan is the only thing that outlives the call: it is
+//     cloned *out* into compact, exactly-sized heap slabs (cloneOut).
 const (
 	nodeChunkSize  = 64
 	childChunkSize = 256

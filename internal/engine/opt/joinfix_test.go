@@ -13,9 +13,8 @@ import (
 	"repro/internal/util"
 )
 
-// Regression tests for the join-planning bugfix sweep (ISSUE 6), plus the
-// arena/memo aliasing invariants and the planner's warm-path allocation
-// budget.
+// Regression tests for the join-planning bugfix sweep, plus the
+// arena aliasing invariants and the planner's warm-path allocation budget.
 
 // planJoins collects every join predicate attached to any join node of a
 // plan — the driving Join plus the carried ExtraJoins.
@@ -267,10 +266,9 @@ func snapshotPlan(p *plan.Plan) planSnapshot {
 	return s
 }
 
-// TestPlansNeverAliasPlannerMemory: returned plans — including plans built
-// from path-memo hits — must not share nodes with pooled planner
-// arenas or with each other. Re-planning the whole suite many times (which
-// recycles every arena and hits every memo) must leave earlier plans
+// TestPlansNeverAliasPlannerMemory: returned plans must not share nodes
+// with pooled planner arenas or with each other. Re-planning the whole
+// suite many times (which recycles every arena) must leave earlier plans
 // untouched.
 func TestPlansNeverAliasPlannerMemory(t *testing.T) {
 	s, _, ds := buildEnv(t)
@@ -285,7 +283,7 @@ func TestPlansNeverAliasPlannerMemory(t *testing.T) {
 	}
 	snap := snapshotPlan(first)
 
-	// Churn the planner pool, the memos, and the arenas.
+	// Churn the planner pool and the arenas.
 	var later []*plan.Plan
 	for round := 0; round < 10; round++ {
 		for _, q := range qs {
@@ -302,14 +300,14 @@ func TestPlansNeverAliasPlannerMemory(t *testing.T) {
 	if got := snapshotPlan(first); got.str != snap.str || got.fp != snap.fp || got.cost != snap.cost {
 		t.Fatalf("earlier plan was mutated by later planning:\n%s\nwas:\n%s", got.str, snap.str)
 	}
-	// A memo-hit replan of the same (query, config) must be a fresh tree.
+	// A replan of the same (query, config) must be a fresh tree.
 	second, err := o.Optimize(q0, cfg0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	second.Root.Walk(func(n *plan.Node) {
 		if snap.ptrs[n] {
-			t.Fatalf("memo-hit plan aliases a node of an earlier plan: %s", n.KeyName())
+			t.Fatalf("replanned plan aliases a node of an earlier plan: %s", n.KeyName())
 		}
 	})
 	for _, p := range later {
@@ -322,7 +320,7 @@ func TestPlansNeverAliasPlannerMemory(t *testing.T) {
 }
 
 // TestOptimizeWarmAllocBudget pins the warm planning path itself (distinct
-// from the what-if cache hit): with query info and the path memo warm, a
+// from the what-if cache hit): with query info and the planner pool warm, a
 // full Optimize call (join DP included) must stay within a small allocation
 // budget, and the budget must not grow with the number of DP splits: the
 // same budget covers chains of 4, 6 and 8 tables.

@@ -12,18 +12,18 @@
 // of cost.OptimizerModel(). The executor disagrees on both, which creates
 // the estimate-vs-execution gap the paper's classifier learns to correct.
 //
-// Planning is the hot path of every what-if probe, so the implementation is
-// built around two reuse layers (DESIGN.md §12): per-query analysis is
-// cached once per distinct query (queryInfo), and per-table access paths
-// are memoized across configurations (pathMemo). Join ordering runs the
-// dense DP afresh on every call. It costs every join alternative from its
-// cost.Args without building a node, keeps the cheapest as a recipe per
-// table set, and builds nodes only for the plan it returns (build). Values
-// that do not depend on the split (join selectivities, per-table row counts
-// and widths, per-(table, index) selectivities and widths) come from
-// per-call tables filled once. All transient planning state lives in
-// per-planner arenas recycled through a sync.Pool; returned plans are
-// cloned out and never alias pooled memory.
+// Planning is the hot path of every what-if probe (DESIGN.md §12). Across
+// calls the optimizer keeps only per-query analysis, once per distinct
+// query (queryInfo), and nothing derived from Stats or Model, so swapping
+// either or changing it in place takes effect on the next call. Access
+// paths and the dense join DP are planned afresh on every call. The DP
+// costs every join alternative from its cost.Args without building a node,
+// keeps the cheapest as a recipe per table set, and builds nodes only for
+// the plan it returns (build). Values that do not depend on the split (join
+// selectivities, per-table row counts and widths, per-(table, index)
+// selectivities and widths) come from per-call tables filled once. All
+// transient planning state lives in per-planner arenas recycled through a
+// sync.Pool; returned plans are cloned out and never alias pooled memory.
 package opt
 
 import (
@@ -56,11 +56,6 @@ type Optimizer struct {
 	// DPTableLimit is the largest table count planned with exact dynamic
 	// programming; larger queries use greedy join ordering.
 	DPTableLimit int
-
-	// memo caches bestAccessPath results across Optimize calls (see
-	// memo.go). The zero value is ready; swapping Stats or Model
-	// invalidates it automatically.
-	memo pathMemo
 
 	// byFP holds one per-query analysis (validation, fingerprint, table
 	// ordinals, per-table predicates and columns, join bitmasks and sort
@@ -309,13 +304,12 @@ type planner struct {
 	// plan.Node.Scratch; parallelize/cloneRecost recost from it.
 	args []cost.Args
 
-	ixsOn  [][]*catalog.Index // indexes of cfg per table ordinal
-	keyBuf []byte             // access-path memo key scratch
-	base   []*subPlan
-	dp     []*subPlan // dense DP table indexed by table bitmask
-	jscr   []int      // joinsBetween scratch: ordinals into qi.joins
-	cands  []*subPlan // bestAccessPath candidate scratch
-	gpool  []*subPlan // greedyJoin scratch
+	ixsOn [][]*catalog.Index // indexes of cfg per table ordinal
+	base  []*subPlan
+	dp    []*subPlan // dense DP table indexed by table bitmask
+	jscr  []int      // joinsBetween scratch: ordinals into qi.joins
+	cands []*subPlan // bestAccessPath candidate scratch
+	gpool []*subPlan // greedyJoin scratch
 
 	// Per-call values the DP would otherwise look up once per split. They
 	// are read from o.Stats and o.Schema on every call, never cached
@@ -460,7 +454,6 @@ func (o *Optimizer) Optimize(q *query.Query, cfg *catalog.Configuration) (*plan.
 	p := o.getPlanner(q, qi, cfg)
 	pl, err := p.optimize()
 	o.putPlanner(p)
-	o.memo.flushObs()
 	return pl, err
 }
 
@@ -504,7 +497,7 @@ func (p *planner) optimize() (*plan.Plan, error) {
 	}
 
 	return &plan.Plan{
-		Root:         p.cloneOut(result.node, nil),
+		Root:         cloneOut(result.node),
 		Query:        q,
 		ConfigFP:     p.cfg.Fingerprint(),
 		EstTotalCost: result.cost,
@@ -575,18 +568,11 @@ func (p *planner) bestAccessPath(ti int) *subPlan {
 	preds := p.qi.predsOn[ti]
 	need := p.qi.colsUsed[ti]
 	mask := uint64(1) << uint(ti)
-	ixs := p.ixsOn[ti]
-	p.keyBuf = appendPathMemoKey(p.keyBuf[:0], table, preds, need, ixs)
-	key := p.keyBuf
-	if e := p.o.memo.lookup(key, p.o.Stats, p.o.Model); e != nil {
-		return p.instantiate(e, mask)
-	}
-
 	tv := &p.tabs[ti]
 	outRows := tv.rows * p.selAll(preds)
 
 	cands := append(p.cands[:0], p.tableScanPath(table, tv.meta, tv.rows, preds, outRows, tv.needW, mask))
-	for _, ix := range ixs {
+	for _, ix := range p.ixsOn[ti] {
 		if ix.Kind == catalog.Columnstore {
 			cands = append(cands, p.columnstorePath(table, ix, tv.rows, preds, outRows, tv.needW, mask))
 			continue
@@ -602,7 +588,6 @@ func (p *planner) bestAccessPath(ti int) *subPlan {
 		}
 	}
 	p.cands = cands[:0]
-	p.o.memo.store(string(key), p.newMemoEntry(best))
 	return best
 }
 
@@ -1200,9 +1185,8 @@ func countNodes(n *plan.Node) (nodes, kids int) {
 // cloneOut copies a subtree out of the planner's arenas into two compact,
 // exactly-sized heap slabs (one for nodes, one for child pointers), so the
 // result owns no arena memory and survives planner recycling. Scratch is
-// zeroed on every clone. When collect is non-nil the cost args of every
-// node are appended to it in preorder (the order cloneIn consumes).
-func (p *planner) cloneOut(root *plan.Node, collect *[]cost.Args) *plan.Node {
+// zeroed on every clone.
+func cloneOut(root *plan.Node) *plan.Node {
 	nn, nk := countNodes(root)
 	nodes := make([]plan.Node, nn)
 	kidSlab := make([]*plan.Node, nk)
@@ -1213,9 +1197,6 @@ func (p *planner) cloneOut(root *plan.Node, collect *[]cost.Args) *plan.Node {
 		ni++
 		*nd = *n
 		nd.Scratch = 0
-		if collect != nil {
-			*collect = append(*collect, p.args[n.Scratch])
-		}
 		if len(n.Children) > 0 {
 			cs := kidSlab[ki : ki+len(n.Children) : ki+len(n.Children)]
 			ki += len(n.Children)
@@ -1225,28 +1206,6 @@ func (p *planner) cloneOut(root *plan.Node, collect *[]cost.Args) *plan.Node {
 			}
 		}
 		return nd
-	}
-	return walk(root)
-}
-
-// cloneIn copies a memo-owned subtree into the planner's arenas, assigning
-// every clone a fresh args slot filled from the entry's preorder args, so
-// memoized trees are never aliased by planner state.
-func (p *planner) cloneIn(root *plan.Node, args []cost.Args) *plan.Node {
-	i := 0
-	var walk func(n *plan.Node) *plan.Node
-	walk = func(n *plan.Node) *plan.Node {
-		c := p.node(*n)
-		p.args[c.Scratch] = args[i]
-		i++
-		if len(n.Children) > 0 {
-			cs := p.kids.alloc(len(n.Children))
-			for k, ch := range n.Children {
-				cs[k] = walk(ch)
-			}
-			c.Children = cs
-		}
-		return c
 	}
 	return walk(root)
 }

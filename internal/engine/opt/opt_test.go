@@ -2,6 +2,7 @@ package opt
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -478,4 +479,98 @@ func TestAddingIndexNeverRaisesEstimatedCost(t *testing.T) {
 			prev = p
 		}
 	}
+}
+
+// pathSuite returns a query/config mix covering every access-path shape:
+// heap scan, covering index scan, seek, seek+lookup+filter, columnstore,
+// joins (shared tables across queries), and a parallel-eligible plan.
+func pathSuite() ([]*query.Query, []*catalog.Configuration) {
+	qs := []*query.Query{
+		pointQuery(),
+		joinQuery(),
+		{
+			Name:   "range",
+			Tables: []string{"fact"},
+			Preds: []query.Pred{
+				{Table: "fact", Column: "f_date", Lo: 0, Hi: 1000},
+				{Table: "fact", Column: "f_val", Lo: 1, Hi: 50},
+			},
+			Select: []query.ColRef{{Table: "fact", Column: "f_id"}},
+		},
+		{
+			Name:    "wide",
+			Tables:  []string{"fact"},
+			Preds:   []query.Pred{{Table: "fact", Column: "f_date", Lo: 0, Hi: 3650}},
+			GroupBy: []query.ColRef{{Table: "fact", Column: "f_dim"}},
+			Aggs:    []query.Agg{{Func: query.Sum, Col: query.ColRef{Table: "fact", Column: "f_val"}}},
+		},
+	}
+	cfgs := []*catalog.Configuration{
+		nil,
+		catalog.NewConfiguration(&catalog.Index{Table: "fact", KeyColumns: []string{"f_date"}}),
+		catalog.NewConfiguration(&catalog.Index{Table: "fact", KeyColumns: []string{"f_date"}, IncludedColumns: []string{"f_val"}}),
+		catalog.NewConfiguration(
+			&catalog.Index{Table: "fact", KeyColumns: []string{"f_dim"}, IncludedColumns: []string{"f_val"}},
+			&catalog.Index{Table: "dim", KeyColumns: []string{"d_cat"}}),
+		catalog.NewConfiguration(&catalog.Index{Table: "fact", Kind: catalog.Columnstore}),
+	}
+	return qs, cfgs
+}
+
+// TestOptimizeReadsStatsAndModelEveryCall: the optimizer keeps nothing
+// derived from Stats or Model between calls, so once either is swapped or
+// changed in place, every plan equals a fresh optimizer's bit for bit. Each
+// step must also change some plan's cost, or it would test nothing.
+func TestOptimizeReadsStatsAndModelEveryCall(t *testing.T) {
+	s, db, ds := buildEnv(t)
+	qs, cfgs := pathSuite()
+	o := New(s, ds)
+	planAll := func(o *Optimizer) []*plan.Plan {
+		var out []*plan.Plan
+		for _, q := range qs {
+			for _, cfg := range cfgs {
+				p, err := o.Optimize(q, cfg)
+				if err != nil {
+					t.Fatalf("%s/%q: %v", q.Name, fpOf(cfg), err)
+				}
+				out = append(out, p)
+			}
+		}
+		return out
+	}
+	prev := planAll(o)
+	check := func(step string) {
+		t.Helper()
+		fresh := New(s, o.Stats)
+		fresh.Model = o.Model
+		got, want := planAll(o), planAll(fresh)
+		changed := 0
+		for i := range got {
+			comparePlans(t, fmt.Sprintf("%s: %s/%q", step, qs[i/len(cfgs)].Name, fpOf(cfgs[i%len(cfgs)])), got[i], want[i])
+			if math.Float64bits(got[i].EstTotalCost) != math.Float64bits(prev[i].EstTotalCost) {
+				changed++
+			}
+		}
+		if changed == 0 {
+			t.Fatalf("%s: no plan's cost changed", step)
+		}
+		prev = got
+	}
+
+	o.Stats = stats.BuildDatabaseStats(db, util.NewRNG(1234), 256, 16)
+	check("stats swapped")
+	m := *o.Model
+	m.LookupCPU *= 4
+	o.Model = &m
+	check("model swapped")
+
+	// In place: the same *DatabaseStats and *Model, changed under the
+	// optimizer.
+	o.Stats.Tables["fact"].RowCount *= 10
+	check("row count changed in place")
+	fact := db.Table("fact")
+	o.Stats.Tables["fact"].Columns["f_date"] = stats.BuildColumnStats("fact", "f_date", fact.Column("f_date"), util.NewRNG(99), 64, 4)
+	check("column stats replaced in place")
+	o.Model.ByteCPU *= 3
+	check("model changed in place")
 }

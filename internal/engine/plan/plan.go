@@ -202,13 +202,6 @@ type Plan struct {
 	EstTotalCost float64
 }
 
-// NumNodes returns the operator count of the plan.
-func (p *Plan) NumNodes() int {
-	n := 0
-	p.Root.Walk(func(*Node) { n++ })
-	return n
-}
-
 // Fingerprint hashes the plan's physical structure: operators, modes,
 // parallelism, tables, indexes, predicates, and join/sort/group
 // annotations. Two configurations yielding the same physical plan share a

@@ -234,23 +234,6 @@ func (q *Query) ColumnsUsed(table string) []string {
 	return cols
 }
 
-// OutputColumns returns the column references the query must produce before
-// aggregation/projection: Select when no aggregation, otherwise the
-// group-by and aggregate input columns.
-func (q *Query) OutputColumns() []ColRef {
-	if len(q.Aggs) == 0 && len(q.GroupBy) == 0 {
-		return q.Select
-	}
-	var out []ColRef
-	out = append(out, q.GroupBy...)
-	for _, a := range q.Aggs {
-		if a.Func != Count {
-			out = append(out, a.Col)
-		}
-	}
-	return out
-}
-
 // Validate checks that the query is well-formed against a schema: all
 // tables and columns exist, joins touch referenced tables, and the join
 // graph connects every table (no cross products).

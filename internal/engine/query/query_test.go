@@ -93,18 +93,6 @@ func TestQueryAccessors(t *testing.T) {
 			t.Fatalf("ColumnsUsed: %v", cols)
 		}
 	}
-	out := q.OutputColumns()
-	if len(out) != 2 { // c_nation + o_total (Count contributes nothing)
-		t.Fatalf("OutputColumns: %v", out)
-	}
-}
-
-func TestOutputColumnsPlainSelect(t *testing.T) {
-	q := &Query{Tables: []string{"orders"}, Select: []ColRef{{Table: "orders", Column: "o_id"}}}
-	out := q.OutputColumns()
-	if len(out) != 1 || out[0].Column != "o_id" {
-		t.Fatalf("plain select output: %v", out)
-	}
 }
 
 func TestValidateOK(t *testing.T) {

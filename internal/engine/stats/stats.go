@@ -84,9 +84,6 @@ func buildHistogram(sorted []int64, rowCount int64, buckets int) *Histogram {
 	return h
 }
 
-// NumBuckets returns the number of buckets.
-func (h *Histogram) NumBuckets() int { return len(h.counts) }
-
 // Min returns the smallest sampled value.
 func (h *Histogram) Min() int64 {
 	if len(h.bounds) == 0 {

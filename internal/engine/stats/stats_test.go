@@ -233,7 +233,7 @@ func TestHistogramMinMax(t *testing.T) {
 		t.Fatalf("min/max: %d %d", cs.Hist.Min(), cs.Hist.Max())
 	}
 	empty := BuildColumnStats("t", "c", nil, util.NewRNG(13), 8, 4)
-	if empty.Hist.Min() != 0 || empty.Hist.Max() != 0 || empty.Hist.NumBuckets() != 0 {
+	if empty.Hist.Min() != 0 || empty.Hist.Max() != 0 || len(empty.Hist.counts) != 0 {
 		t.Fatal("empty histogram accessors")
 	}
 }

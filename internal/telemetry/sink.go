@@ -256,12 +256,19 @@ func (s *Sink) Append(recs []expdata.PlanRecord) (stored int, err error) {
 		return 0, nil
 	}
 	if s.bw != nil {
+		// Encode the whole batch before writing any of it: a record that
+		// does not encode (a sampled Weight scaled past float64's range)
+		// must reject the batch without leaving records on disk that count
+		// would miss, which would break Snapshot's watermark.
+		lines := make([][]byte, len(recs))
 		for i := range recs {
 			line, err := json.Marshal(&recs[i])
 			if err != nil {
 				return 0, fmt.Errorf("telemetry: appending: %w", err)
 			}
-			line = append(line, '\n')
+			lines[i] = append(line, '\n')
+		}
+		for _, line := range lines {
 			if _, err := s.bw.Write(line); err != nil {
 				return 0, fmt.Errorf("telemetry: appending: %w", err)
 			}

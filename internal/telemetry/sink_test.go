@@ -370,3 +370,58 @@ func TestTelemetryAppendAfterClose(t *testing.T) {
 		t.Fatal("append after close succeeded")
 	}
 }
+
+// TestTelemetryRejectedBatchLeavesNothing: a batch that fails to encode
+// lands whole or not at all. Sampling scales a kept record's Weight by 1/p,
+// so a posted Weight of 1e308 becomes +Inf, which JSON cannot encode.
+// Records ahead of it in the batch must not reach the segment, or the
+// window would outgrow Total and break the watermark rule.
+func TestTelemetryRejectedBatchLeavesNothing(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		path := filepath.Join(t.TempDir(), "telemetry.jsonl")
+		now := time.Unix(1000, 0)
+		opts := Opts{
+			Path: path, SampleRate: 10, SampleBurst: 100, SampleSeed: seed,
+			now: func() time.Time { return now },
+		}
+		sink, err := Open(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		burst := make([]expdata.PlanRecord, 100)
+		for i := range burst {
+			burst[i] = telRec(i)
+		}
+		if stored, err := sink.Append(burst); err != nil || stored != 100 {
+			t.Fatalf("seed %d: burst stored %d (err %v), want 100", seed, stored, err)
+		}
+		// No tokens left at the frozen instant: the batch is thinned at
+		// minKeepProb, so every kept record's Weight is scaled by 64.
+		batch := make([]expdata.PlanRecord, 400)
+		for i := range batch {
+			batch[i] = telRec(100 + i)
+			if i >= 300 {
+				batch[i].Weight = 1e308
+			}
+		}
+		if _, err := sink.Append(batch); err == nil {
+			t.Fatalf("seed %d: a batch with an unencodable weight was accepted", seed)
+		}
+		if recs, total := sink.Snapshot(); int64(len(recs)) != total || total != 100 {
+			t.Fatalf("seed %d: window %d records, Total %d, want 100 and 100", seed, len(recs), total)
+		}
+		if err := sink.Close(); err != nil {
+			t.Fatal(err)
+		}
+		reopened, err := Open(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if recs, total := reopened.Snapshot(); int64(len(recs)) != total || total != 100 {
+			t.Fatalf("seed %d: after reopen window %d records, Total %d, want 100 and 100", seed, len(recs), total)
+		}
+		if err := reopened.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -104,24 +104,16 @@ func (c *Continuous) measureOne(q *query.Query, cfg *catalog.Configuration, rng 
 	if err != nil {
 		return nil, err
 	}
-	first, err := c.Exec.Execute(p, rng.SplitInt(0))
+	cost, first, err := c.Exec.MedianCost(p, rng, c.Opts.ExecRepeats)
 	if err != nil {
 		return nil, err
-	}
-	costs := []float64{first.MeasuredCost}
-	for i := 1; i < c.Opts.ExecRepeats; i++ {
-		r, err := c.Exec.Execute(p, rng.SplitInt(i))
-		if err != nil {
-			return nil, err
-		}
-		costs = append(costs, r.MeasuredCost)
 	}
 	ep := &expdata.ExecutedPlan{
 		DB:       c.Exec.DB.Schema.Name,
 		Query:    q,
 		Plan:     p,
 		Executed: first.Annotated,
-		Cost:     util.Median(costs),
+		Cost:     cost,
 		Configs:  []string{cfg.Fingerprint()},
 	}
 	return ep, nil
