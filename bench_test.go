@@ -16,6 +16,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strconv"
 	"sync"
 	"testing"
@@ -36,6 +37,7 @@ import (
 	"repro/internal/models"
 	"repro/internal/obs"
 	"repro/internal/server/registry"
+	"repro/internal/telemetry"
 	"repro/internal/tuner"
 	"repro/internal/util"
 	"repro/internal/workload"
@@ -192,16 +194,23 @@ func BenchmarkClassifierTrain(b *testing.B) {
 	}
 }
 
-// benchPairs collects the labeled TPC-H plan pairs the classifier
-// benchmarks train on.
-func benchPairs(b *testing.B) []expdata.Pair {
+// benchData collects the TPC-H execution data the classifier and
+// telemetry benchmarks share.
+func benchData(b *testing.B) *expdata.Dataset {
 	b.Helper()
 	w := workload.TPCH("bench-infer", 2500, 7)
 	ds, err := expdata.Collect(w, expdata.CollectOpts{Seed: 3, MaxConfigsPerQuery: 8, ExecRepeats: 2})
 	if err != nil {
 		b.Fatal(err)
 	}
-	return ds.Pairs(40, util.NewRNG(9))
+	return ds
+}
+
+// benchPairs returns the labeled TPC-H plan pairs the classifier
+// benchmarks train on.
+func benchPairs(b *testing.B) []expdata.Pair {
+	b.Helper()
+	return benchData(b).Pairs(40, util.NewRNG(9))
 }
 
 // benchClassifier trains the RF-100 plan-pair classifier the inference
@@ -437,6 +446,41 @@ func BenchmarkLearnCycle(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := loop.RunCycle(context.Background(), "bench"); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkTelemetrySnapshot measures the telemetry read that opens every
+// learn cycle: Snapshot of a disk-backed sink shaped like a tenant of the
+// end-to-end learn workload (256 KiB segments, the default four), filled
+// with featurized TPC-H telemetry until rotation has dropped a segment.
+func BenchmarkTelemetrySnapshot(b *testing.B) {
+	ds := benchData(b)
+	recs := make([]expdata.PlanRecord, len(ds.Plans))
+	for i, ep := range ds.Plans {
+		recs[i] = expdata.ToRecord(ep, feat.DefaultChannels())
+	}
+	sink, err := telemetry.Open(telemetry.Opts{
+		Path:         filepath.Join(b.TempDir(), "telemetry.jsonl"),
+		SegmentBytes: 256 << 10,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer sink.Close()
+	for {
+		if _, err := sink.Append(recs); err != nil {
+			b.Fatal(err)
+		}
+		if window, total := sink.Snapshot(); int64(len(window)) < total {
+			break
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if window, _ := sink.Snapshot(); len(window) == 0 {
+			b.Fatal("empty telemetry window")
 		}
 	}
 }

@@ -26,14 +26,16 @@ var (
 	// The train path is timed in three phases — learn.train.featurize (in
 	// compact.go), learn.train.fit, learn.train.eval. learn.train.latency
 	// predates the split and keeps observing the fit phase.
-	mTrainLatency  = obs.H("learn.train.latency")
-	mFitLatency    = obs.H("learn.train.fit")
-	mEvalLatency   = obs.H("learn.train.eval")
-	mCycleLatency  = obs.H("learn.cycle.latency")
-	mChampionAcc   = obs.G("learn.eval.champion_accuracy")
-	mChallengerAcc = obs.G("learn.eval.challenger_accuracy")
-	mEvalDelta     = obs.G("learn.eval.delta")
-	mLiveAcc       = obs.G("learn.live.accuracy")
+	// learn.cycle.snapshot times the telemetry read that opens a cycle.
+	mTrainLatency    = obs.H("learn.train.latency")
+	mFitLatency      = obs.H("learn.train.fit")
+	mEvalLatency     = obs.H("learn.train.eval")
+	mSnapshotLatency = obs.H("learn.cycle.snapshot")
+	mCycleLatency    = obs.H("learn.cycle.latency")
+	mChampionAcc     = obs.G("learn.eval.champion_accuracy")
+	mChallengerAcc   = obs.G("learn.eval.challenger_accuracy")
+	mEvalDelta       = obs.G("learn.eval.delta")
+	mLiveAcc         = obs.G("learn.live.accuracy")
 )
 
 // ErrCycleRunning is returned by TriggerAsync while a cycle is in flight:
@@ -91,6 +93,9 @@ type CycleReport struct {
 	// ActiveVersion is the serving version after the cycle.
 	ActiveVersion int     `json:"active_version"`
 	TrainSeconds  float64 `json:"train_seconds"`
+	// SnapshotSeconds is the telemetry read (the Source call) that opens
+	// the cycle.
+	SnapshotSeconds float64 `json:"snapshot_seconds"`
 	// FeaturizeSeconds/EvalSeconds break the cycle's model work into its
 	// remaining phases: pair-vector materialization during compaction and
 	// the shadow evaluation (TrainSeconds is the fit).
@@ -354,6 +359,8 @@ func (l *Loop) runCycleLocked(ctx context.Context, trigger string) *CycleReport 
 	start := time.Now()
 	rep := &CycleReport{Trigger: trigger, StartedAt: start}
 	recs, total := l.source()
+	rep.SnapshotSeconds = time.Since(start).Seconds()
+	mSnapshotLatency.Observe(rep.SnapshotSeconds)
 	rep.Records = len(recs)
 	l.cycleBody(ctx, rep, recs, total)
 	rep.FinishedAt = time.Now()

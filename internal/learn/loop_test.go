@@ -237,7 +237,7 @@ func TestLoopSerializesCycles(t *testing.T) {
 func normalizeReport(r *CycleReport) CycleReport {
 	c := *r
 	c.StartedAt, c.FinishedAt = time.Time{}, time.Time{}
-	c.TrainSeconds, c.FeaturizeSeconds, c.EvalSeconds = 0, 0, 0
+	c.TrainSeconds, c.SnapshotSeconds, c.FeaturizeSeconds, c.EvalSeconds = 0, 0, 0, 0
 	return c
 }
 

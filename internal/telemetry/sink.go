@@ -17,8 +17,11 @@ package telemetry
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"sync"
 	"time"
@@ -107,7 +110,6 @@ type Sink struct {
 
 	// Sampling state (sampler nil when Opts.SampleRate == 0).
 	sampler *sampler
-	offered int64 // records offered to Append, including sampled-away ones
 
 	mSampleRate *obs.Gauge // per-partition keep probability (1 = no sampling)
 }
@@ -148,7 +150,6 @@ func Open(o Opts) (*Sink, error) {
 		recs, _ := readSegment(seg)
 		s.count += int64(len(recs))
 	}
-	s.offered = s.count
 	if err := s.openCurrent(); err != nil {
 		return nil, err
 	}
@@ -243,7 +244,6 @@ func (s *Sink) Append(recs []expdata.PlanRecord) (stored int, err error) {
 	if s.closed {
 		return 0, fmt.Errorf("telemetry: sink %q is closed", s.path)
 	}
-	s.offered += int64(len(recs))
 	if s.sampler != nil {
 		kept, p := s.sampler.thin(recs)
 		if s.mSampleRate != nil {
@@ -320,29 +320,32 @@ func (s *Sink) Snapshot() ([]expdata.PlanRecord, int64) {
 }
 
 // readSegment decodes one JSONL segment line by line, skipping (and
-// counting) lines that do not parse. A missing segment is empty.
+// counting) lines that do not parse. A missing segment is empty; an
+// unreadable one counts as one skipped line. The segment is read whole,
+// so a line of any length Append wrote is read back: a segment holds at
+// most SegmentBytes plus its last record.
 func readSegment(path string) (recs []expdata.PlanRecord, skipped int) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, 0
+		if errors.Is(err, fs.ErrNotExist) {
+			return nil, 0
+		}
+		skipped++
 	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 64<<10), 16<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
+	var d recordDecoder
+	recs = make([]expdata.PlanRecord, 0, bytes.Count(data, []byte{'\n'})+1)
+	for len(data) > 0 {
+		n, line, _ := bufio.ScanLines(data, true)
+		data = data[n:]
 		if len(line) == 0 {
 			continue
 		}
-		var rec expdata.PlanRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
+		rec, ok := d.decode(line)
+		if !ok {
 			skipped++
 			continue
 		}
 		recs = append(recs, rec)
-	}
-	if sc.Err() != nil {
-		skipped++
 	}
 	return recs, skipped
 }
@@ -353,14 +356,6 @@ func (s *Sink) Total() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.count
-}
-
-// Offered returns the number of records offered to Append, including ones
-// a pressure sampler dropped — the unthinned traffic volume.
-func (s *Sink) Offered() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.offered
 }
 
 // SampleRate returns the most recent keep probability (1 when sampling is

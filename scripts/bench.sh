@@ -17,7 +17,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 out="${1:-BENCH_probe.json}"
-filter="${BENCH_FILTER:-^(BenchmarkOptimizerPlan|BenchmarkExecutorRun|BenchmarkWhatIfCachedPlan|BenchmarkPairFeaturization|BenchmarkClassifierInference|BenchmarkCandidateGen|BenchmarkTuneQuery|BenchmarkTuneWorkloadSerial|BenchmarkTuneWorkloadGated|BenchmarkTuneWorkloadCompressed|BenchmarkTreeFit|BenchmarkForestTrain|BenchmarkForestTrainPairs|BenchmarkLearnCycle|BenchmarkEmbedPlan|BenchmarkWorkloadEmbed)$}"
+filter="${BENCH_FILTER:-^(BenchmarkOptimizerPlan|BenchmarkExecutorRun|BenchmarkWhatIfCachedPlan|BenchmarkPairFeaturization|BenchmarkClassifierInference|BenchmarkCandidateGen|BenchmarkTuneQuery|BenchmarkTuneWorkloadSerial|BenchmarkTuneWorkloadGated|BenchmarkTuneWorkloadCompressed|BenchmarkTreeFit|BenchmarkForestTrain|BenchmarkForestTrainPairs|BenchmarkLearnCycle|BenchmarkTelemetrySnapshot|BenchmarkEmbedPlan|BenchmarkWorkloadEmbed)$}"
 
 args=(test -run '^$' -bench "$filter" -benchmem -count "${BENCH_COUNT:-1}")
 if [[ -n "${BENCH_TIME:-}" ]]; then
