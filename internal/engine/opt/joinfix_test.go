@@ -3,6 +3,7 @@ package opt
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/engine/catalog"
@@ -189,6 +190,53 @@ func TestSeekablePrefixPrefersEquality(t *testing.T) {
 	}
 }
 
+// TestJoinCountLimit: the planner keeps sets of join predicates as 64-bit
+// masks, so a query with 65 of them gets an error from Optimize and from
+// WhatIf.Plan, which caches nothing for it, while one with 64 still plans
+// as the reference does. Only repeated predicates reach these counts.
+func TestJoinCountLimit(t *testing.T) {
+	s, _, ds := buildEnv(t)
+	withJoins := func(n int) *query.Query {
+		q := joinQuery()
+		j := q.Joins[0]
+		q.Joins = nil
+		for i := 0; i < n; i++ {
+			q.Joins = append(q.Joins, j)
+		}
+		return q
+	}
+	probe := catalog.NewConfiguration(&catalog.Index{Table: "fact", KeyColumns: []string{"f_dim"}, IncludedColumns: []string{"f_val"}})
+	cfgs := []*catalog.Configuration{nil, probe}
+
+	o := New(s, ds)
+	q64 := withJoins(64)
+	for _, cfg := range cfgs {
+		want, err := refOptimize(New(s, ds), q64, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := o.Optimize(q64, cfg)
+		if err != nil {
+			t.Fatalf("64 joins %q: %v", fpOf(cfg), err)
+		}
+		comparePlans(t, fmt.Sprintf("64 joins %q", fpOf(cfg)), got, want)
+	}
+
+	q65 := withJoins(65)
+	w := NewWhatIf(o)
+	for _, cfg := range cfgs {
+		if p, err := o.Optimize(q65, cfg); err == nil || !strings.Contains(err.Error(), "65 join predicates") {
+			t.Fatalf("Optimize, 65 joins %q: got plan %v, error %v", fpOf(cfg), p, err)
+		}
+		if p, err := w.Plan(q65, cfg); err == nil || !strings.Contains(err.Error(), "65 join predicates") {
+			t.Fatalf("WhatIf.Plan, 65 joins %q: got plan %v, error %v", fpOf(cfg), p, err)
+		}
+		if n := cacheEntries(w); n != 0 {
+			t.Fatalf("65 joins %q: the what-if cache kept %d entries", fpOf(cfg), n)
+		}
+	}
+}
+
 // chainConfig builds a random index configuration over the chain tables,
 // drawn from a deterministic stream.
 func chainConfig(rng *util.RNG, n int) *catalog.Configuration {
@@ -363,5 +411,19 @@ func TestOptimizeWarmAllocBudget(t *testing.T) {
 		if allocs > budget {
 			t.Fatalf("%s: warm Optimize allocated %.1f times per run, budget %d", c.name, allocs, budget)
 		}
+	}
+
+	// indexPath asks seekablePrefix about every B+ tree of a table; one
+	// whose leading key column no predicate constrains seeks nothing, and
+	// the answer allocates nothing.
+	ix := &catalog.Index{Table: "dim", KeyColumns: []string{"d_id"}}
+	preds := joinQuery().Preds // on d_cat only
+	allocs := testing.AllocsPerRun(100, func() {
+		if seek, rest := seekablePrefix(ix, preds); len(seek) != 0 || len(rest) != len(preds) {
+			t.Fatalf("nothing should be seekable: seek=%v rest=%v", seek, rest)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("seekablePrefix with nothing seekable allocated %.1f times per run, want 0", allocs)
 	}
 }

@@ -19,11 +19,17 @@
 // paths and the dense join DP are planned afresh on every call. The DP
 // costs every join alternative from its cost.Args without building a node,
 // keeps the cheapest as a recipe per table set, and builds nodes only for
-// the plan it returns (build). Values that do not depend on the split (join
-// selectivities, per-table row counts and widths, per-(table, index)
-// selectivities and widths) come from per-call tables filled once. All
-// transient planning state lives in per-planner arenas recycled through a
-// sync.Pool; returned plans are cloned out and never alias pooled memory.
+// the plan it returns (build). Sets of tables and of join predicates are
+// uint64 bitmasks, so a query may have at most 64 join predicates. The DP
+// reads the joins between a split's halves from a per-set table of join
+// masks, skips a table set with too few joins inside to be connected, costs
+// each split into a pointer-free candidate, and stops costing an
+// alternative once its partial cost reaches the best so far. Values that
+// do not depend on the split (join selectivities, per-table row counts and
+// widths, per-(table, index) selectivities and widths) come from per-call
+// tables filled once. All transient planning state lives in per-planner
+// arenas recycled through a sync.Pool; returned plans are cloned out and
+// never alias pooled memory.
 package opt
 
 import (
@@ -182,8 +188,13 @@ type queryInfo struct {
 	colsUsed [][]string     // by table ordinal
 	predCols [][]string     // by table ordinal: columns with a predicate
 	joinCols [][]string     // by table ordinal: columns in a join
+	joinsOn  []uint64       // by table ordinal: mask of the joins touching it
 	joins    []joinRef      // parallel to q.Joins
 }
+
+// maxJoins is the most join predicates a query may have: the planner keeps
+// sets of joins as uint64 bitmasks over join ordinals.
+const maxJoins = 64
 
 // indexTable returns the ordinal of ix's table in the query, or false when
 // ix cannot change the query's plan. getPlanner, the what-if cache key
@@ -246,6 +257,10 @@ func (o *Optimizer) analyze(q *query.Query, fp string) *queryInfo {
 		qi.err = err
 		return qi
 	}
+	if len(q.Joins) > maxJoins {
+		qi.err = fmt.Errorf("opt: query %s has %d join predicates, more than the %d the planner supports", q.Name, len(q.Joins), maxJoins)
+		return qi
+	}
 	qi.tableIdx = make(map[string]int, len(q.Tables))
 	for i, t := range q.Tables {
 		qi.tableIdx[t] = i
@@ -255,6 +270,7 @@ func (o *Optimizer) analyze(q *query.Query, fp string) *queryInfo {
 	qi.colsUsed = make([][]string, nt)
 	qi.predCols = make([][]string, nt)
 	qi.joinCols = make([][]string, nt)
+	qi.joinsOn = make([]uint64, nt)
 	for i, t := range q.Tables {
 		qi.predsOn[i] = q.PredsOn(t)
 		qi.colsUsed[i] = q.ColumnsUsed(t)
@@ -276,6 +292,8 @@ func (o *Optimizer) analyze(q *query.Query, fp string) *queryInfo {
 		}
 		qi.joinCols[lt] = addCol(qi.joinCols[lt], j.LeftColumn)
 		qi.joinCols[rt] = addCol(qi.joinCols[rt], j.RightColumn)
+		qi.joinsOn[lt] |= 1 << uint(i)
+		qi.joinsOn[rt] |= 1 << uint(i)
 	}
 	return qi
 }
@@ -307,7 +325,7 @@ type planner struct {
 	ixsOn [][]*catalog.Index // indexes of cfg per table ordinal
 	base  []*subPlan
 	dp    []*subPlan // dense DP table indexed by table bitmask
-	jscr  []int      // joinsBetween scratch: ordinals into qi.joins
+	jin   []uint64   // parallel to dp: mask of the joins inside each set
 	cands []*subPlan // bestAccessPath candidate scratch
 	gpool []*subPlan // greedyJoin scratch
 
@@ -611,8 +629,12 @@ func (p *planner) columnstorePath(table string, ix *catalog.Index, rows float64,
 // (equalities on leading key columns, then at most one range) and the rest.
 // When several predicates constrain the same key column, an equality is
 // preferred over a range: the equality keeps the prefix extensible (a range
-// ends it), so it is never a worse choice.
+// ends it), so it is never a worse choice. When no predicate is on the
+// leading key column nothing is seekable, and rest is preds itself.
 func seekablePrefix(ix *catalog.Index, preds []query.Pred) (seek, rest []query.Pred) {
+	if !leadsWith(ix, preds) {
+		return nil, preds
+	}
 	used := make([]bool, len(preds))
 	for _, kc := range ix.KeyColumns {
 		found := -1
@@ -643,6 +665,19 @@ func seekablePrefix(ix *catalog.Index, preds []query.Pred) (seek, rest []query.P
 		}
 	}
 	return seek, rest
+}
+
+// leadsWith reports whether some predicate is on ix's leading key column.
+func leadsWith(ix *catalog.Index, preds []query.Pred) bool {
+	if len(ix.KeyColumns) == 0 {
+		return false
+	}
+	for _, pr := range preds {
+		if pr.Column == ix.KeyColumns[0] {
+			return true
+		}
+	}
+	return false
 }
 
 // indexPath builds a seek (or covering index-scan) path for one B+ tree
@@ -708,82 +743,118 @@ func (p *planner) indexPath(table string, meta *catalog.Table, ix *catalog.Index
 	return p.sub(subPlan{node: top, tables: mask, rows: finalRows, width: needW, cost: total})
 }
 
-// joinsBetween returns the ordinals (into qi.joins) of the join predicates
-// connecting two table sets, in q.Joins order, in a scratch slice valid
-// until the next call.
-func (p *planner) joinsBetween(a, b uint64) []int {
-	out := p.jscr[:0]
+// joinsBetween returns the mask of the join predicates (ordinals into
+// qi.joins) connecting two disjoint table sets. dpJoin reads the same mask
+// from its per-set table; greedyJoin and build scan the joins for it.
+func (p *planner) joinsBetween(a, b uint64) uint64 {
+	var m uint64
 	for i := range p.qi.joins {
 		jr := &p.qi.joins[i]
 		if (jr.lm&a != 0 && jr.rm&b != 0) || (jr.lm&b != 0 && jr.rm&a != 0) {
-			out = append(out, i)
+			m |= 1 << uint(i)
 		}
 	}
-	p.jscr = out
-	return out
+	return m
 }
 
-// joinSel multiplies the containment-assumption selectivities of joins.
-func (p *planner) joinSel(joins []int) float64 {
+// joinSel multiplies the containment-assumption selectivities of the joins
+// in a mask, in ascending join ordinal (q.Joins) order.
+func (p *planner) joinSel(joins uint64) float64 {
 	s := 1.0
-	for _, k := range joins {
-		s *= p.jsel[k]
+	for ; joins != 0; joins &= joins - 1 {
+		s *= p.jsel[bits.TrailingZeros64(joins)]
 	}
 	return s
 }
 
-// bestJoin costs every way to join a and b from its cost.Args, builds no
-// node, and returns the cheapest as a recipe. It tries hash, merge over two
+// joinCand is one costed way to join two inputs a and b: what a recipe
+// holds besides its inputs, with no pointers, so costing a split copies no
+// pointer and needs no write barrier. Only the winner of a DP cell or of a
+// greedy round becomes a recipe (planner.recipe).
+type joinCand struct {
+	cost, rows float64
+	alg        joinAlg
+	swap       bool // the recipe's left input is b and its right a
+	hasCS      bool
+	join       int32 // ordinal into qi.joins of the driving join
+	probe      int32 // index NLJ: ordinal into pvals of the probed index
+}
+
+// recipe returns c as a join recipe over its inputs a and b.
+func (p *planner) recipe(c *joinCand, a, b *subPlan) subPlan {
+	sp := subPlan{tables: a.tables | b.tables, rows: c.rows, width: a.width + b.width, cost: c.cost, hasCS: c.hasCS, alg: c.alg, left: a, right: b, join: int(c.join)}
+	if c.swap {
+		sp.left, sp.right = b, a
+	}
+	if c.alg == indexNLJoin {
+		sp.probe = &p.pvals[c.probe]
+	}
+	return sp
+}
+
+// bestJoin costs every way to join a and b over the join predicates in
+// between (a non-empty mask) and builds no node. It writes the cheapest
+// into c when it costs strictly less than c, or in any case when have is
+// false, and reports whether it wrote c. It tries hash, merge over two
 // sorts, an index nested-loop join per probeable index in each direction,
 // and a plain nested-loop join for a tiny inner, in that order; a later
-// alternative wins only when strictly cheaper. ok is false when no join
-// predicate connects a and b (cross products are not planned).
-func (p *planner) bestJoin(a, b *subPlan) (best subPlan, ok bool) {
-	joins := p.joinsBetween(a.tables, b.tables)
-	if len(joins) == 0 {
-		return best, false
-	}
-	outRows := a.rows * b.rows * p.joinSel(joins)
+// alternative wins only when strictly cheaper.
+//
+// An alternative costs its inputs plus operator costs, which are never
+// negative (cost.Model.OpCost clips at 0), and adding a non-negative term
+// never lowers a rounded sum. So once an alternative's partial sum reaches
+// c's cost it cannot win, and its remaining OpCost calls are skipped. When
+// have is false the hash alternative is taken with no comparison, so the
+// first candidate is written whatever its cost, infinite or NaN included.
+func (p *planner) bestJoin(c *joinCand, have bool, a, b *subPlan, between uint64) bool {
+	outRows := a.rows * b.rows * p.joinSel(between)
 	if outRows < 1 {
 		outRows = 1
 	}
-	// The first join predicate drives the physical algorithm; any others
+	// The lowest join predicate drives the physical algorithm; any others
 	// ride on the node as extra filters (build), already priced into
 	// outRows above.
-	best = subPlan{tables: a.tables | b.tables, rows: outRows, width: a.width + b.width, hasCS: a.hasCS || b.hasCS, join: joins[0]}
+	ji := int32(bits.TrailingZeros64(between))
+	hasCS := a.hasCS || b.hasCS
+	in := a.cost + b.cost
+	won := false
 
-	// Hash join: build on the smaller input.
-	probe, build := a, b
-	if build.rows > probe.rows {
-		probe, build = build, probe
+	// Hash join probes with the larger input and builds on the smaller; a
+	// plain nested-loop join takes the smaller as its inner.
+	big, small, swap := a, b, b.rows > a.rows
+	if swap {
+		big, small = b, a
 	}
-	best.alg, best.left, best.right = hashJoin, probe, build
-	best.cost = a.cost + b.cost + p.joinCost(hashJoin, probe, build, outRows, best.hasCS)
+	if !have || in < c.cost {
+		if h := in + p.joinCost(hashJoin, big, small, outRows, hasCS); !have || h < c.cost {
+			*c = joinCand{cost: h, rows: outRows, alg: hashJoin, swap: swap, hasCS: hasCS, join: ji}
+			won = true
+		}
+	}
 
 	// Merge join: sort both inputs on their side of the join, then merge.
-	if c := (a.cost + p.sortCost(a)) + (b.cost + p.sortCost(b)) + p.joinCost(mergeJoin, a, b, outRows, best.hasCS); c < best.cost {
-		best.alg, best.left, best.right, best.cost = mergeJoin, a, b, c
+	if in < c.cost {
+		if m := (a.cost + p.sortCost(a)) + (b.cost + p.sortCost(b)); m < c.cost {
+			if m += p.joinCost(mergeJoin, a, b, outRows, hasCS); m < c.cost {
+				*c = joinCand{cost: m, rows: outRows, alg: mergeJoin, hasCS: hasCS, join: ji}
+				won = true
+			}
+		}
 	}
 
 	// Index nested-loop join: inner must be a single base table with an
 	// index whose leading key matches the join column.
-	p.indexNLJ(&best, a, b, joins)
-	p.indexNLJ(&best, b, a, joins)
+	won = p.indexNLJ(c, a, b, false, ji, outRows) || won
+	won = p.indexNLJ(c, b, a, true, ji, outRows) || won
 
 	// Plain nested-loop join, only for tiny inners.
-	if b.rows <= 1000 || a.rows <= 1000 {
-		outer, inner := a, b
-		if inner.rows > outer.rows {
-			outer, inner = inner, outer
-		}
-		if inner.rows <= 1000 {
-			if c := a.cost + b.cost + p.joinCost(nestedLoopJoin, outer, inner, outRows, false); c < best.cost {
-				best.alg, best.left, best.right, best.cost = nestedLoopJoin, outer, inner, c
-				best.join, best.probe, best.hasCS = joins[0], nil, a.hasCS || b.hasCS
-			}
+	if small.rows <= 1000 && in < c.cost {
+		if x := in + p.joinCost(nestedLoopJoin, big, small, outRows, false); x < c.cost {
+			*c = joinCand{cost: x, rows: outRows, alg: nestedLoopJoin, swap: swap, hasCS: hasCS, join: ji}
+			won = true
 		}
 	}
-	return best, true
+	return won
 }
 
 // joinCost returns the cost of a join's top node alone.
@@ -793,11 +864,10 @@ func (p *planner) joinCost(alg joinAlg, l, r *subPlan, rows float64, hasCS bool)
 }
 
 // sortCost returns the cost of a Sort over in, computing it on first use.
-// The cost depends only on in's rows, width and hasCS. bestJoin reads a DP
-// cell only once it is final (sets are visited in ascending order), and a
-// cheaper split overwrites the whole cell, cache included, so every call
-// returns what computing the cost afresh would. A zero cost is simply
-// recomputed.
+// The cost depends only on in's rows, width and hasCS. A recipe is written
+// whole, cache zeroed, once its set's best split is known, and never
+// changes after, so every call returns what computing the cost afresh
+// would. A zero cost is simply recomputed.
 func (p *planner) sortCost(in *subPlan) float64 {
 	if in.sortCost == 0 {
 		in.sortCost = p.o.Model.OpCost(plan.Sort, modeOf(in.hasCS), plan.Serial, sortArgs(in))
@@ -818,42 +888,35 @@ func (p *planner) sortNode(in *subPlan, cols []query.ColRef) *subPlan {
 	return p.sub(subPlan{node: n, tables: in.tables, rows: in.rows, width: in.width, cost: in.cost + c, hasCS: in.hasCS})
 }
 
-// indexNLJ costs an index nested-loop join with outer driving per-row
-// probes into each probeable index of the inner base table, and makes it
-// best's recipe when strictly cheaper. Its batch eligibility comes from the
-// outer alone: the inner side is an index seek, never a columnstore.
-func (p *planner) indexNLJ(best *subPlan, outer, inner *subPlan, joins []int) {
-	// Inner must be exactly one base table.
+// indexNLJ costs an index nested-loop join in which outer drives per-row
+// probes into each probeable index of the inner base table, and writes it
+// into c when strictly cheaper, bounded as bestJoin is; swap says outer is
+// bestJoin's b. The driving join ji has one side on the inner table, and a
+// probed index must lead with that side's column. Batch eligibility comes
+// from the outer alone: the inner side is an index seek, never a
+// columnstore.
+func (p *planner) indexNLJ(c *joinCand, outer, inner *subPlan, swap bool, ji int32, outRows float64) bool {
+	// Inner must be exactly one base table, with an index to probe.
 	if inner.tables&(inner.tables-1) != 0 {
-		return
+		return false
 	}
-	ti := bits.TrailingZeros64(inner.tables)
-	tv := &p.tabs[ti]
-	if tv.plo == tv.phi {
-		return // no index to probe
+	tv := &p.tabs[bits.TrailingZeros64(inner.tables)]
+	if tv.plo == tv.phi || !(outer.cost < c.cost) {
+		return false
 	}
-	// Find the join column on the inner side. The chosen join drives the
-	// probes; the remaining predicates ride on the node as extra filters.
-	table := p.q.Tables[ti]
-	var joinCol string
-	ji := -1
-	for _, k := range joins {
-		if c := p.qi.joins[k].j.ColumnFor(table); c != "" {
-			joinCol, ji = c, k
-			break
-		}
-	}
-	if joinCol == "" {
-		return
+	jr := &p.qi.joins[ji]
+	joinCol := jr.j.RightColumn
+	if jr.lm == inner.tables {
+		joinCol = jr.j.LeftColumn
 	}
 	m := p.o.Model
-	perProbeSel := p.jsel[ji]
-	for k := tv.plo; k < tv.phi; k++ {
+	won := false
+	for k := tv.plo; k < tv.phi && outer.cost < c.cost; k++ {
 		pv := &p.pvals[k]
 		if pv.ix.KeyColumns[0] != joinCol {
 			continue
 		}
-		seek, lookup, filter := probeArgs(outer, tv, pv, perProbeSel)
+		seek, lookup, filter := probeArgs(outer, tv, pv, p.jsel[ji])
 		innerCost := m.OpCost(plan.IndexSeek, plan.Row, plan.Serial, seek)
 		if !pv.covers {
 			innerCost += m.OpCost(plan.KeyLookup, plan.Row, plan.Serial, lookup)
@@ -861,11 +924,14 @@ func (p *planner) indexNLJ(best *subPlan, outer, inner *subPlan, joins []int) {
 				innerCost += m.OpCost(plan.Filter, plan.Row, plan.Serial, filter)
 			}
 		}
-		if c := outer.cost + innerCost + p.joinCost(indexNLJoin, outer, inner, best.rows, outer.hasCS); c < best.cost {
-			best.alg, best.left, best.right, best.cost = indexNLJoin, outer, inner, c
-			best.join, best.probe, best.hasCS = ji, pv, outer.hasCS
+		if x := outer.cost + innerCost; x < c.cost {
+			if x += p.joinCost(indexNLJoin, outer, inner, outRows, outer.hasCS); x < c.cost {
+				*c = joinCand{cost: x, rows: outRows, alg: indexNLJoin, swap: swap, hasCS: outer.hasCS, join: ji, probe: int32(k)}
+				won = true
+			}
 		}
 	}
+	return won
 }
 
 // probeArgs returns the cost.Args of the inner side of an index NLJ in
@@ -917,15 +983,13 @@ func (p *planner) build(sp *subPlan) *plan.Node {
 // than the driving one, in q.Joins order, or nil when there are none. The
 // slice is heap-allocated: the returned plan keeps it.
 func (p *planner) extraJoins(sp *subPlan) []query.Join {
-	joins := p.joinsBetween(sp.left.tables, sp.right.tables)
-	if len(joins) < 2 {
+	joins := p.joinsBetween(sp.left.tables, sp.right.tables) &^ (1 << uint(sp.join))
+	if joins == 0 {
 		return nil
 	}
-	extras := make([]query.Join, 0, len(joins)-1)
-	for _, k := range joins {
-		if k != sp.join {
-			extras = append(extras, p.qi.joins[k].j)
-		}
+	extras := make([]query.Join, 0, bits.OnesCount64(joins))
+	for ; joins != 0; joins &= joins - 1 {
+		extras = append(extras, p.qi.joins[bits.TrailingZeros64(joins)].j)
 	}
 	return extras
 }
@@ -967,68 +1031,87 @@ func (p *planner) buildProbe(sp *subPlan) *plan.Node {
 
 // dpJoin finds the cheapest join order by dynamic programming over
 // connected table subsets. The DP table is a dense slice indexed by table
-// bitmask holding one recipe per set, overwritten in place when a strictly
-// cheaper split appears; sets are visited in ascending numeric order, which
-// is equivalent to the classic by-size order because every strict subset of
-// a set is numerically smaller, so a set's recipe is final before any
-// larger set reads it.
+// bitmask holding one recipe per set. Sets are visited in ascending numeric
+// order, which is equivalent to the classic by-size order because every
+// strict subset of a set is numerically smaller, so a set's recipe is final
+// before any larger set reads it.
+//
+// jin[set] is the mask of the joins with both sides in set, so the joins
+// between two halves of a set are jin[set] &^ (jin[sub] | jin[other]). A
+// set with fewer than |set|-1 joins inside cannot be connected and is
+// skipped whole. Each unordered split is visited once: sub runs down the
+// subsets of set without its highest table. The splits are costed into one
+// joinCand holding the set's best so far, and the set's recipe is written
+// once, from the winning split.
 func (p *planner) dpJoin(base []*subPlan) *subPlan {
 	n := len(base)
 	full := uint64(1)<<uint(n) - 1
 	if uint64(cap(p.dp)) < full+1 {
 		p.dp = make([]*subPlan, full+1)
+		p.jin = make([]uint64, full+1)
 	}
-	dp := p.dp[:full+1]
+	dp, jin := p.dp[:full+1], p.jin[:full+1]
 	for i := range dp {
 		dp[i] = nil
 	}
 	for _, b := range base {
 		dp[b.tables] = b
 	}
-	for set := uint64(3); set <= full; set++ {
-		if set&(set-1) == 0 {
-			continue // single table: already seeded
+	// A join inside a set of two or more tables is inside the set without
+	// its lowest table, inside the set without its highest, or joins the
+	// two. A join of a table with itself is never between two halves and
+	// is left out.
+	joinsOn := p.qi.joinsOn
+	for set := uint64(1); set <= full; set++ {
+		lo, hi := bits.TrailingZeros64(set), 63-bits.LeadingZeros64(set)
+		if lo == hi {
+			jin[set] = 0
+			continue
 		}
-		// Split set into (sub, set^sub) pairs.
-		for sub := (set - 1) & set; sub > 0; sub = (sub - 1) & set {
+		jin[set] = jin[set&^(1<<uint(lo))] | jin[set&^(1<<uint(hi))] | joinsOn[lo]&joinsOn[hi]
+	}
+	for set := uint64(3); set <= full; set++ {
+		js := jin[set]
+		if set&(set-1) == 0 || popcount(js) < popcount(set)-1 {
+			continue // a single table, already seeded, or not connected
+		}
+		var best joinCand
+		var l, r *subPlan
+		rest := set &^ (1 << uint(63-bits.LeadingZeros64(set)))
+		for sub := rest; sub > 0; sub = (sub - 1) & rest {
 			other := set ^ sub
-			if sub > other {
-				continue // each unordered split once
-			}
 			a, b := dp[sub], dp[other]
 			if a == nil || b == nil {
 				continue
 			}
-			j, ok := p.bestJoin(a, b)
-			if !ok {
-				continue
+			if between := js &^ (jin[sub] | jin[other]); between != 0 && p.bestJoin(&best, l != nil, a, b, between) {
+				l, r = a, b
 			}
-			if cur := dp[set]; cur == nil {
-				dp[set] = p.sub(j)
-			} else if j.cost < cur.cost {
-				*cur = j
-			}
+		}
+		if l != nil {
+			dp[set] = p.sub(p.recipe(&best, l, r))
 		}
 	}
 	return dp[full]
 }
 
 // greedyJoin repeatedly joins the cheapest connectable pair; used beyond
-// the DP table limit.
+// the DP table limit. Pairs are costed as DP splits are, into one joinCand
+// holding the round's best so far.
 func (p *planner) greedyJoin(base []*subPlan) *subPlan {
 	pool := append(p.gpool[:0], base...)
 	for len(pool) > 1 {
+		var round joinCand
+		var l, r *subPlan
 		var bi, bj int
-		var round subPlan
-		found := false
 		for i := 0; i < len(pool); i++ {
 			for j := i + 1; j < len(pool); j++ {
-				if sp, ok := p.bestJoin(pool[i], pool[j]); ok && (!found || sp.cost < round.cost) {
-					round, bi, bj, found = sp, i, j, true
+				if between := p.joinsBetween(pool[i].tables, pool[j].tables); between != 0 && p.bestJoin(&round, l != nil, pool[i], pool[j], between) {
+					l, r, bi, bj = pool[i], pool[j], i, j
 				}
 			}
 		}
-		if !found {
+		if l == nil {
 			p.gpool = pool[:0]
 			return nil
 		}
@@ -1038,7 +1121,7 @@ func (p *planner) greedyJoin(base []*subPlan) *subPlan {
 				next = append(next, sp)
 			}
 		}
-		pool = append(next, p.sub(round))
+		pool = append(next, p.sub(p.recipe(&round, l, r)))
 	}
 	out := pool[0]
 	p.gpool = pool[:0]

@@ -711,44 +711,74 @@ func TestPlannerMatchesReference(t *testing.T) {
 
 // TestPlannerMatchesReferenceOnChain extends the comparison to a 12-table
 // chain, covering greedy ordering (beyond the DP limit) and deep DP (at the
-// limit) against the reference.
+// limit) against the reference. It also plans the chain with two more
+// joins, t3.v = t0.v and t5.fk = t2.id, each closing a cycle, under no
+// index and under a B+ tree on every fk column. The cycles give splits that
+// carry two joins between multi-table halves, and sets with as many joins
+// inside as a connected set needs that are still not connected. No
+// workload query has a cycle.
 func TestPlannerMatchesReferenceOnChain(t *testing.T) {
-	s, ds, q := buildChainEnv(t, 12)
+	s, ds, chain := buildChainEnv(t, 12)
+	cyclic := &query.Query{}
+	*cyclic = *chain
+	cyclic.Joins = append(append([]query.Join(nil), chain.Joins...),
+		query.Join{LeftTable: "t3", LeftColumn: "v", RightTable: "t0", RightColumn: "v"},
+		query.Join{LeftTable: "t5", LeftColumn: "fk", RightTable: "t2", RightColumn: "id"},
+	)
+	fks := catalog.NewConfiguration()
+	for _, tb := range chain.Tables {
+		fks.Add(&catalog.Index{Table: tb, KeyColumns: []string{"fk"}})
+	}
+	cases := []struct {
+		name string
+		q    *query.Query
+		cfg  *catalog.Configuration
+	}{{"chain", chain, nil}, {"cyclic", cyclic, nil}, {"cyclic fk", cyclic, fks}}
 	for _, limit := range []int{10, 12} {
 		live := New(s, ds)
 		live.DPTableLimit = limit
 		ref := New(s, ds)
 		ref.DPTableLimit = limit
-		want, err := refOptimize(ref, q, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for pass := 0; pass < 2; pass++ {
-			got, err := live.Optimize(q, nil)
+		for _, c := range cases {
+			want, err := refOptimize(ref, c.q, c.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			comparePlans(t, fmt.Sprintf("chain limit=%d pass=%d", limit, pass), got, want)
+			for pass := 0; pass < 2; pass++ {
+				got, err := live.Optimize(c.q, c.cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				label := fmt.Sprintf("%s limit=%d pass=%d", c.name, limit, pass)
+				comparePlans(t, label, got, want)
+				if n := len(planJoins(got)); n != len(c.q.Joins) {
+					t.Fatalf("%s: plan carries %d join predicates, query has %d:\n%s", label, n, len(c.q.Joins), got)
+				}
+			}
 		}
 	}
 }
 
-// TestPlannerMatchesReferenceOnTPC extends the comparison to TPC-H and
-// TPC-DS under no index and under each of every query's candidates alone.
-// Unlike refSuite and the chain, these plans pick merge joins over
+// TestPlannerMatchesReferenceOnTPC extends the comparison to TPC-H, TPC-DS
+// and cust9 under no index and under each of every query's candidates
+// alone. Unlike refSuite and the chain, these plans pick merge joins over
 // multi-table inputs, so the merge join's costing and build, including its
 // sort keys when the driving join's left table is on the right input (only
 // TPC-DS has those), decide plans the comparison checks; the test asserts
-// that each workload has such plans.
+// that each workload has such plans. cust9, built as the evaluation suite
+// builds it at a smaller scale, adds 8-table snowflake DPs whose
+// foreign-key candidates are probed by index nested-loop joins; the test
+// asserts that some 8-table plans take one.
 func TestPlannerMatchesReferenceOnTPC(t *testing.T) {
 	for _, w := range []*workload.Workload{
 		workload.TPCH("ref-tpch", 4000, 9),
 		workload.TPCDS("ref-tpcds", 3000, 9),
+		workload.Customer("ref-cust9", 20190701+109, 3, 0.3),
 	} {
 		ds := stats.BuildDatabaseStats(w.DB, util.NewRNG(4), 512, 32)
 		live := New(w.Schema, ds)
 		ref := New(w.Schema, ds)
-		var plans, merges int
+		var plans, merges, wide, wideINLJ int
 		for _, q := range w.Queries {
 			cfgs := []*catalog.Configuration{nil}
 			for _, ix := range candidates.Generate(q, w.Schema, candidates.Limits{}) {
@@ -768,11 +798,20 @@ func TestPlannerMatchesReferenceOnTPC(t *testing.T) {
 				if hasMultiTableMerge(got.Root) {
 					merges++
 				}
+				if len(q.Tables) == 8 {
+					wide++
+					if findINLJ(got) != nil {
+						wideINLJ++
+					}
+				}
 			}
 		}
-		t.Logf("%s: %d of %d plans merge-join a multi-table input", w.Name, merges, plans)
+		t.Logf("%s: %d of %d plans merge-join a multi-table input; %d of %d 8-table plans take an index NLJ", w.Name, merges, plans, wideINLJ, wide)
 		if merges == 0 {
 			t.Fatalf("%s: no merge join over a multi-table input in %d plans", w.Name, plans)
+		}
+		if w.Name == "ref-cust9" && wideINLJ == 0 {
+			t.Fatalf("%s: no index NLJ in %d 8-table plans", w.Name, wide)
 		}
 	}
 }

@@ -10,7 +10,10 @@ import (
 	"repro/internal/engine/catalog"
 	"repro/internal/engine/plan"
 	"repro/internal/engine/query"
+	"repro/internal/engine/stats"
 	sqlparse "repro/internal/sql"
+	"repro/internal/util"
+	"repro/internal/workload"
 )
 
 // TestWhatIfKeyIncludesPredicates is the regression test for the cache-key
@@ -312,4 +315,42 @@ func TestWhatIfErrorNotCached(t *testing.T) {
 			t.Fatalf("config %d: retry returned %v, want %v", i, retry, err)
 		}
 	}
+}
+
+// FuzzPlanSQL runs SQL text through the parser and the what-if planner, as
+// every /v1/plan and /v1/classify request does, against a small TPC-H
+// schema: under no index, then under a B+ tree on every foreign-key column
+// and a columnstore on lineitem. Any input may be rejected with an error;
+// none may panic or return neither a plan nor an error. Each input gets a
+// fresh optimizer and cache, so a long run does not grow them.
+func FuzzPlanSQL(f *testing.F) {
+	w := workload.TPCH("fuzz-tpch", 400, 1)
+	ds := stats.BuildDatabaseStats(w.DB, util.NewRNG(1), 64, 8)
+	fks := catalog.NewConfiguration(&catalog.Index{Table: "lineitem", Kind: catalog.Columnstore})
+	for _, fk := range [][2]string{
+		{"nation", "n_region"}, {"supplier", "s_nation"}, {"customer", "c_nation"},
+		{"partsupp", "ps_part"}, {"partsupp", "ps_supp"}, {"orders", "o_cust"},
+		{"lineitem", "l_order"}, {"lineitem", "l_part"}, {"lineitem", "l_supp"},
+	} {
+		fks.Add(&catalog.Index{Table: fk[0], KeyColumns: []string{fk[1]}})
+	}
+	for _, q := range w.Queries {
+		f.Add(q.SQL())
+	}
+	f.Add("SELECT orders.o_id FROM orders, customer WHERE " +
+		strings.Repeat("orders.o_cust = customer.c_id AND ", maxJoins) + "orders.o_cust = customer.c_id")
+	f.Add("SELECT orders.o_id FROM orders WHERE orders.o_cust = orders.o_id")
+	f.Add("SELECT orders.o_id FROM orders, orders")
+	f.Fuzz(func(t *testing.T, text string) {
+		q, err := sqlparse.Parse(text, w.Schema)
+		if err != nil {
+			return
+		}
+		wi := NewWhatIf(New(w.Schema, ds))
+		for _, cfg := range []*catalog.Configuration{nil, fks} {
+			if p, err := wi.Plan(q, cfg); p == nil && err == nil {
+				t.Fatalf("%q under %q: neither a plan nor an error", text, fpOf(cfg))
+			}
+		}
+	})
 }

@@ -370,15 +370,17 @@ func (l *layer) backward(dout []float64, gW map[*block][][]float64, gB map[*bloc
 		// Gate gradient.
 		pos := 0
 		for _, gb := range l.gate {
+			gWb, gBb := gW[gb], gB[gb]
 			for o := 0; o < gb.out; o++ {
 				i := pos
 				g := l.gateCache[i]
 				h := act(l.spec.Act, l.preCache[i])
 				dg := dout[i] * (h - l.inCache[i]) * g * (1 - g)
-				gB[gb][o] += dg
+				gBb[o] += dg
+				gWo, Wo := gWb[o], gb.W[o]
 				for ii, xi := range gb.inIdx {
-					gW[gb][o][ii] += dg * l.inCache[xi]
-					din[xi] += dg * gb.W[o][ii]
+					gWo[ii] += dg * l.inCache[xi]
+					din[xi] += dg * Wo[ii]
 				}
 				pos++
 			}
@@ -396,12 +398,14 @@ func (l *layer) backward(dout []float64, gW map[*block][][]float64, gB map[*bloc
 			}
 			continue
 		}
+		gWb, gBb := gW[b], gB[b]
 		for o := 0; o < b.out; o++ {
 			dpre := dout[pos] * actGrad(l.spec.Act, l.preCache[pos], act(l.spec.Act, l.preCache[pos]))
-			gB[b][o] += dpre
+			gBb[o] += dpre
+			gWo, Wo := gWb[o], b.W[o]
 			for ii, i := range b.inIdx {
-				gW[b][o][ii] += dpre * l.inCache[i]
-				din[i] += dpre * b.W[o][ii]
+				gWo[ii] += dpre * l.inCache[i]
+				din[i] += dpre * Wo[ii]
 			}
 			pos++
 		}
@@ -529,14 +533,16 @@ func (n *Net) applyGrads(gW map[*block][][]float64, gB map[*block][]float64, bat
 	b1c := 1 - math.Pow(0.9, float64(n.adamT))
 	b2c := 1 - math.Pow(0.999, float64(n.adamT))
 	step := func(b *block) {
+		gWb, gBb := gW[b], gB[b]
 		for o := range b.W {
+			gWo := gWb[o]
 			for i := range b.W[o] {
-				g := gW[b][o][i]/batchSize + n.cfg.L2*b.W[o][i]
+				g := gWo[i]/batchSize + n.cfg.L2*b.W[o][i]
 				b.mW[o][i] = 0.9*b.mW[o][i] + 0.1*g
 				b.vW[o][i] = 0.999*b.vW[o][i] + 0.001*g*g
 				b.W[o][i] -= n.lr * (b.mW[o][i] / b1c) / (math.Sqrt(b.vW[o][i]/b2c) + 1e-8)
 			}
-			g := gB[b][o] / batchSize
+			g := gBb[o] / batchSize
 			b.mB[o] = 0.9*b.mB[o] + 0.1*g
 			b.vB[o] = 0.999*b.vB[o] + 0.001*g*g
 			b.B[o] -= n.lr * (b.mB[o] / b1c) / (math.Sqrt(b.vB[o]/b2c) + 1e-8)
