@@ -22,9 +22,6 @@ import (
 func cmdEmbed(args []string) error {
 	fs := flag.NewFlagSet("embed", flag.ExitOnError)
 	modelDir := fs.String("models-dir", "", "registry directory whose active encoder embeds the records (empty = train a fresh encoder)")
-	dim := fs.Int("dim", 0, "embedding width when training fresh (0 = default 8)")
-	hidden := fs.Int("hidden", 0, "pre-bottleneck layer width when training fresh (0 = default 24)")
-	epochs := fs.Int("epochs", 0, "autoencoder training epochs when training fresh (0 = default 40)")
 	seed := fs.Int64("seed", 1, "training seed (fixed seed = bit-identical embedding)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -71,7 +68,7 @@ func cmdEmbed(args []string) error {
 		for i, s := range samples {
 			inputs[i] = embed.PlanInput(feat.DefaultChannels(), s.Vectors, s.Est)
 		}
-		e, err := embed.Train(inputs, embed.Config{Dim: *dim, Hidden: *hidden, Epochs: *epochs, Seed: *seed})
+		e, err := embed.Train(inputs, embed.Config{Seed: *seed})
 		if err != nil {
 			return err
 		}

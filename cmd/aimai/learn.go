@@ -15,20 +15,17 @@ import (
 
 // cmdLearn runs one offline learning cycle over telemetry JSONL files: the
 // same compaction → training → shadow evaluation → guarded promotion
-// pipeline the serve daemon runs continuously, pointed at a model registry
-// directory on disk. With -dry-run the registry is never written — the
-// command just reports what a cycle would decide.
+// pipeline the serve daemon runs continuously, under the daemon's learn
+// settings, pointed at a model registry directory on disk. With -dry-run
+// the registry is never written — the command just reports what a cycle
+// would decide.
 func cmdLearn(args []string) error {
 	fs := flag.NewFlagSet("learn", flag.ExitOnError)
 	modelDir := fs.String("models-dir", "", "versioned model registry directory (empty = in-memory, promotion is ephemeral)")
 	registryKeep := fs.Int("registry-keep", 0, "prune the registry to the newest N versions plus active+predecessor (0 = keep all)")
 	seed := fs.Int64("seed", 1, "cycle seed (split + forest)")
-	alpha := fs.Float64("alpha", 0, "pair-labeling significance threshold (0 = paper default)")
-	trees := fs.Int("trees", 0, "challenger random-forest size (0 = default)")
 	trainParallel := fs.Int("train-parallel", 0, "forest-training workers (0 = GOMAXPROCS, 1 = serial; same model at any setting)")
-	window := fs.Int("window", 0, "recency window in records (0 = default, <0 = unbounded)")
 	driftMode := fs.String("drift-mode", "", "drift detector: z (default), embed, or both (non-z modes train a plan encoder at promotion)")
-	embedThreshold := fs.Float64("embed-drift-threshold", 0, "embedding cosine-distance drift threshold (0 = default 0.10)")
 	dryRun := fs.Bool("dry-run", false, "evaluate a challenger but never write the registry")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -57,14 +54,10 @@ func cmdLearn(args []string) error {
 	}
 	source := func() ([]expdata.PlanRecord, int64) { return recs, int64(len(recs)) }
 	loop := learn.NewLoop(reg, source, *registryKeep, learn.Options{
-		Seed:                *seed,
-		Alpha:               *alpha,
-		Trees:               *trees,
-		TrainParallelism:    *trainParallel,
-		Window:              *window,
-		DriftMode:           *driftMode,
-		EmbedDriftThreshold: *embedThreshold,
-		DryRun:              *dryRun,
+		Seed:             *seed,
+		TrainParallelism: *trainParallel,
+		DriftMode:        *driftMode,
+		DryRun:           *dryRun,
 	})
 	defer loop.Stop()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)

@@ -5,12 +5,25 @@
 // Usage:
 //
 //	aimai list
-//	aimai run [-scale 0.25] [-seed N] [-quick] [-parallel N] [-dbs a,b,c] [-out file] [-metrics-addr :9090] [-pprof] <experiment|all>
-//	aimai tune [-db tpch10] [-scale 0.1] [-query q6] [-model rf|none] [-iters 5] [-parallel N] [-metrics-addr :9090] [-pprof]
-//	aimai serve [-addr :8080] [-db tpch10] [-scale 0.1] [-models-dir dir] [-telemetry file] [-learn-interval 30s] [-workers N] [-queue N]
-//	aimai learn [-models-dir dir] [-seed N] [-dry-run] telemetry.jsonl...
-//	aimai sql [-db tpch10] [-scale 0.1] [-explain] [-limit 20] "SELECT ..."
-//	aimai workloads [-scale 0.25] [-sql]
+//	aimai run [-scale 0.25] [-seed N] [-quick] [-parallel N] [-dbs a,b,c]
+//	    [-out file] [-metrics-addr :9090] [-pprof] <experiment|all>
+//	aimai tune [-db tpch10] [-scale 0.1] [-seed N] [-query q6] [-model rf|none]
+//	    [-iters 5] [-parallel N] [-metrics-addr :9090] [-pprof]
+//	aimai serve [-addr :8080] [-db tpch10] [-scale 0.1] [-seed N] [-parallel N]
+//	    [-models-dir dir] [-registry-keep N] [-telemetry file]
+//	    [-telemetry-segment-bytes N] [-telemetry-segments N]
+//	    [-learn-interval 30s] [-learn-train-parallel N] [-drift-mode z|embed|both]
+//	    [-tenants-dir dir] [-tenants-max-active N] [-tenant-rate R] [-tenant-burst N]
+//	    [-tenant-weights a=3,b=1] [-tenant-ingest-rate R] [-warm-start-floor 0.8]
+//	    [-workers N] [-queue N] [-request-timeout 30s] [-drain-timeout 30s]
+//	aimai learn [-models-dir dir] [-registry-keep N] [-seed N] [-train-parallel N]
+//	    [-drift-mode z|embed|both] [-dry-run] telemetry.jsonl...
+//	aimai embed [-models-dir dir] [-seed N] telemetry.jsonl...
+//	aimai sql [-db tpch10] [-scale 0.1] [-seed N] [-explain] [-limit 20] "SELECT ..."
+//	aimai workloads [-scale 0.25] [-seed N] [-sql]
+//
+// serve -seed also seeds the learning loop, and learn runs one cycle under
+// the same learn settings as the daemon.
 package main
 
 import (

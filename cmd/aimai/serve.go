@@ -15,6 +15,7 @@ import (
 	"repro/internal/learn"
 	"repro/internal/obs"
 	"repro/internal/server"
+	"repro/internal/tenant"
 	"repro/internal/tuner"
 )
 
@@ -28,19 +29,16 @@ func cmdServe(args []string) error {
 	addr := fs.String("addr", ":8080", "listen address (\":0\" binds an ephemeral port)")
 	db := fs.String("db", "tpch10", "suite database name")
 	scale := fs.Float64("scale", 0.1, "workload scale factor")
-	seed := fs.Int64("seed", 1, "seed")
+	seed := fs.Int64("seed", 1, "seed of the workload, its statistics and the learning loop")
 	parallel := fs.Int("parallel", 0, "per-job what-if worker pool (0 = GOMAXPROCS)")
 	modelDir := fs.String("models-dir", "", "versioned model registry directory (empty = in-memory)")
 	registryKeep := fs.Int("registry-keep", 0, "prune the registry to the newest N versions plus active+predecessor (0 = keep all)")
 	telemetry := fs.String("telemetry", "", "append ingested telemetry to this JSONL file (empty = in-memory)")
-	telemetrySegBytes := fs.Int64("telemetry-segment-bytes", 0, "rotate the telemetry file at this size (0 = 8MiB default)")
-	telemetrySegments := fs.Int("telemetry-segments", 0, "retained telemetry segments after rotation (0 = 4 default)")
+	telemetrySegBytes := fs.Int64("telemetry-segment-bytes", 0, "rotate each tenant's telemetry file at this size (0 = 8MiB default); a tenant keeps at most segments x bytes")
+	telemetrySegments := fs.Int("telemetry-segments", 0, "telemetry segments each tenant retains after rotation (0 = 4 default)")
 	learnInterval := fs.Duration("learn-interval", 0, "background learning tick period (0 = cycles run only via POST /v1/learn/trigger)")
-	learnRecords := fs.Int("learn-records", 0, "retrain after this many new telemetry records (0 = default 64)")
-	learnSeed := fs.Int64("learn-seed", 0, "learning loop seed (0 = the -seed value)")
 	learnTrainParallel := fs.Int("learn-train-parallel", 0, "challenger-training workers (0 = GOMAXPROCS, 1 = serial; same model at any setting)")
 	driftMode := fs.String("drift-mode", "", "drift detector: z (default), embed, or both (non-z modes train a plan encoder at promotion)")
-	embedThreshold := fs.Float64("embed-drift-threshold", 0, "embedding cosine-distance drift threshold (0 = default 0.10)")
 	warmStartFloor := fs.Float64("warm-start-floor", 0, "cross-tenant warm-start similarity floor (0 = default 0.80, negative disables)")
 	tenantsDir := fs.String("tenants-dir", "", "data root for non-default tenants (empty = in-memory tenants)")
 	tenantsMaxActive := fs.Int("tenants-max-active", 0, "materialized-tenant bound; LRU idle tenants evict and reload on demand (0 = 8 default)")
@@ -70,38 +68,35 @@ func cmdServe(args []string) error {
 		return err
 	}
 	obs.SetEnabled(true) // /metrics is part of the serving API
-	if *learnSeed == 0 {
-		*learnSeed = *seed
-	}
 	weights, err := parseTenantWeights(*tenantWeights)
 	if err != nil {
 		return err
 	}
 	srv, err := server.New(server.Config{
-		Workload:              sys.Workload,
-		WhatIf:                sys.WhatIf,
-		Exec:                  sys.Exec,
-		TunerOpts:             tuner.Options{Parallelism: *parallel},
-		ModelDir:              *modelDir,
-		RegistryKeep:          *registryKeep,
-		TelemetryPath:         *telemetry,
-		TelemetrySegmentBytes: *telemetrySegBytes,
-		TelemetrySegments:     *telemetrySegments,
-		TenantsDir:            *tenantsDir,
-		MaxActiveTenants:      *tenantsMaxActive,
-		TenantRate:            *tenantRate,
-		TenantBurst:           *tenantBurst,
-		TenantWeights:         weights,
-		TenantIngestRate:      *tenantIngestRate,
-		WarmStartFloor:        *warmStartFloor,
-		Learn: learn.Options{
-			Seed:                *learnSeed,
-			Interval:            *learnInterval,
-			RecordThreshold:     *learnRecords,
-			TrainParallelism:    *learnTrainParallel,
-			DriftMode:           *driftMode,
-			EmbedDriftThreshold: *embedThreshold,
+		Workload:  sys.Workload,
+		WhatIf:    sys.WhatIf,
+		Exec:      sys.Exec,
+		TunerOpts: tuner.Options{Parallelism: *parallel},
+		Config: tenant.Config{
+			TenantsDir:            *tenantsDir,
+			DefaultModelDir:       *modelDir,
+			DefaultTelemetryPath:  *telemetry,
+			MaxActiveTenants:      *tenantsMaxActive,
+			RegistryKeep:          *registryKeep,
+			TelemetrySegmentBytes: *telemetrySegBytes,
+			TelemetrySegments:     *telemetrySegments,
+			IngestRate:            *tenantIngestRate,
+			Learn: learn.Options{
+				Seed:             *seed,
+				Interval:         *learnInterval,
+				TrainParallelism: *learnTrainParallel,
+				DriftMode:        *driftMode,
+			},
+			Rate:           *tenantRate,
+			Burst:          *tenantBurst,
+			WarmStartFloor: *warmStartFloor,
 		},
+		TenantWeights:  weights,
 		Workers:        *workers,
 		QueueSize:      *queue,
 		RequestTimeout: *reqTimeout,

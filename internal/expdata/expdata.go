@@ -252,23 +252,15 @@ func Collect(w *workload.Workload, o CollectOpts) (*Dataset, error) {
 					continue
 				}
 				erng := qrng.Split(fmt.Sprintf("exec:%x", fp))
-				first, err := ex.Execute(p, erng.SplitInt(0))
+				cost, first, err := ex.MedianCost(p, erng, o.ExecRepeats)
 				if err != nil {
 					// Catastrophic plans (blow the intermediate-row guard)
 					// are skipped, like timed-out executions in practice.
 					continue
 				}
-				costs := []float64{first.MeasuredCost}
-				for rep := 1; rep < o.ExecRepeats; rep++ {
-					r, err := ex.Execute(p, erng.SplitInt(rep))
-					if err != nil {
-						break
-					}
-					costs = append(costs, r.MeasuredCost)
-				}
 				ep := &ExecutedPlan{
 					DB: w.Name, Query: q, Plan: p, Executed: first.Annotated,
-					Cost: util.Median(costs), Configs: []string{cfg.Fingerprint()},
+					Cost: cost, Configs: []string{cfg.Fingerprint()},
 				}
 				seenPlans[fp] = ep
 				out.Plans = append(out.Plans, ep)

@@ -334,26 +334,3 @@ func (f *Featurizer) AppendPairFromVectors(out []float64, v1s, v2s [][]float64, 
 	}
 	return out
 }
-
-// AttributeNames labels the pair-vector attributes for debugging and
-// feature-importance reporting.
-func (f *Featurizer) AttributeNames() []string {
-	var names []string
-	emit := func(prefix string) {
-		for _, c := range f.Channels {
-			for k := 0; k < plan.NumKeys; k++ {
-				names = append(names, fmt.Sprintf("%s%s:%s", prefix, c, plan.KeyName(k)))
-			}
-		}
-	}
-	if f.Transform == Concat {
-		emit("p1:")
-		emit("p2:")
-	} else {
-		emit(f.Transform.String() + ":")
-	}
-	if f.IncludeTotalCost {
-		names = append(names, "p1:EstTotalCost", "p2:EstTotalCost")
-	}
-	return names
-}

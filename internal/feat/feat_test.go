@@ -190,19 +190,6 @@ func TestKeyGroups(t *testing.T) {
 	}
 }
 
-func TestAttributeNames(t *testing.T) {
-	f := Default()
-	names := f.AttributeNames()
-	if len(names) != f.PairDim() {
-		t.Fatalf("names %d != dim %d", len(names), f.PairDim())
-	}
-	fc := &Featurizer{Channels: []Channel{EstNodeCost}, Transform: Concat}
-	names = fc.AttributeNames()
-	if len(names) != fc.PairDim() {
-		t.Fatal("concat names wrong length")
-	}
-}
-
 func TestPlanFeaturesForRegressor(t *testing.T) {
 	f := Default()
 	p := twoJoinPlan(1000, 100)

@@ -51,8 +51,6 @@ func trainEncoder(set *LabeledSet, o Options, cycleSeed int64) (*embed.Encoder, 
 	}
 	enc, err := embed.Train(inputs, embed.Config{
 		Channels: channels,
-		Dim:      o.EmbedDim,
-		Hidden:   o.EmbedHidden,
 		Epochs:   o.EmbedEpochs,
 		// Offset the cycle seed so the encoder's RNG stream never collides
 		// with the forest's or the split's.

@@ -25,8 +25,8 @@ func phaseShift(g *gen, templates int) []expdata.PlanRecord {
 }
 
 // embedLoopOptions is testLoopOptions with the embedding detector switched
-// on and the record/schedule triggers parked out of the way, so drift is
-// the only trigger that can fire.
+// on and the record trigger parked out of the way, so drift is the only
+// trigger that can fire.
 func embedLoopOptions(seed int64, mode string) Options {
 	o := testLoopOptions(seed)
 	o.DriftMode = mode

@@ -10,7 +10,7 @@
 //	    ▼
 //	labeled pair vectors
 //	    │ 2. triggers    — drift in feature-channel mass, champion accuracy
-//	    │                  decay on fresh pairs, record-count / schedule
+//	    │                  decay on fresh pairs, record count
 //	    ▼
 //	    │ 3. training    — challenger RF on the train split (bounded worker,
 //	    │                  context-cancellable)
@@ -98,7 +98,8 @@ type Options struct {
 	MinEvalPairs  int
 
 	// MinAccuracy is the absolute shadow-eval accuracy floor a challenger
-	// must reach, champion or not.
+	// must reach, champion or not. A champion whose accuracy on fresh
+	// labeled pairs falls below it triggers a retrain.
 	MinAccuracy float64
 	// PromoteMargin is how much shadow-eval accuracy the challenger must
 	// add over the champion to be promoted.
@@ -124,22 +125,14 @@ type Options struct {
 	// EmbedDriftThreshold is the workload-embedding cosine distance above
 	// which embedding-mode drift fires (default 0.10).
 	EmbedDriftThreshold float64
-	// EmbedDim / EmbedHidden / EmbedEpochs configure the plan encoder
-	// trained at promotions (0 = embed package defaults).
-	EmbedDim    int
-	EmbedHidden int
+	// EmbedEpochs sets the training epochs of the plan encoder trained at
+	// promotions (0 = the embed package default).
 	EmbedEpochs int
-	// AccuracyFloor triggers a retrain when the champion's accuracy on
-	// fresh labeled pairs falls below it (0 = MinAccuracy).
-	AccuracyFloor float64
 	// RecordThreshold triggers a retrain after this many new records.
 	RecordThreshold int
 	// Interval is the auto-loop tick period; 0 disables the background
 	// ticker (cycles then run only on explicit triggers).
 	Interval time.Duration
-	// ScheduleEvery forces a cycle when this much time has passed since the
-	// last one, regardless of drift or record counts (0 = off).
-	ScheduleEvery time.Duration
 
 	// DryRun evaluates challengers but never touches the registry (the
 	// one-shot CLI's preview mode).
@@ -193,9 +186,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.EmbedDriftThreshold <= 0 {
 		o.EmbedDriftThreshold = defaultEmbedDriftThreshold
-	}
-	if o.AccuracyFloor <= 0 {
-		o.AccuracyFloor = o.MinAccuracy
 	}
 	if o.RecordThreshold <= 0 {
 		o.RecordThreshold = defaultRecordThreshold

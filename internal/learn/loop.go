@@ -153,18 +153,17 @@ type Loop struct {
 	// the arena's rows are still referenced by an in-flight cycle.
 	ts *TrainSet
 
-	mu          sync.Mutex
-	running     bool
-	cycles      int
-	promotions  int
-	rejections  int
-	rollbacks   int
-	lastCycle   *CycleReport
-	lastCycleAt time.Time
-	lastSeen    int64
-	reference   *ChannelSummary
-	embedRef    *embed.WorkloadEmbedding
-	monitor     *MonitorStatus
+	mu         sync.Mutex
+	running    bool
+	cycles     int
+	promotions int
+	rejections int
+	rollbacks  int
+	lastCycle  *CycleReport
+	lastSeen   int64
+	reference  *ChannelSummary
+	embedRef   *embed.WorkloadEmbedding
+	monitor    *MonitorStatus
 
 	wg     sync.WaitGroup
 	ctx    context.Context
@@ -303,26 +302,24 @@ func (l *Loop) runSerialized(ctx context.Context, trigger string) {
 
 // dueTrigger evaluates the retrain conditions against the current
 // telemetry and returns the first firing trigger's name ("" = none):
-// pending post-promotion monitoring, record-count threshold, schedule,
-// feature drift, or champion accuracy decay on fresh labeled pairs.
+// pending post-promotion monitoring, record-count threshold, feature
+// drift, or champion accuracy decay on fresh labeled pairs. A pending
+// monitor fires before the telemetry is read, since reading it can mean a
+// full pass over a tenant's segments on disk.
 func (l *Loop) dueTrigger() string {
 	l.mu.Lock()
 	monitorPending := l.monitor != nil
 	lastSeen := l.lastSeen
-	lastAt := l.lastCycleAt
 	ref := l.reference
 	embedRef := l.embedRef
 	l.mu.Unlock()
 
-	recs, total := l.source()
 	if monitorPending {
 		return "monitor"
 	}
+	recs, total := l.source()
 	if total-lastSeen >= int64(l.opts.RecordThreshold) {
 		return "records"
-	}
-	if l.opts.ScheduleEvery > 0 && !lastAt.IsZero() && time.Since(lastAt) >= l.opts.ScheduleEvery {
-		return "schedule"
 	}
 	if total == lastSeen {
 		return "" // nothing new: drift/accuracy cannot have changed
@@ -346,7 +343,7 @@ func (l *Loop) dueTrigger() string {
 		return trigger
 	}
 	if v := l.reg.Models.Active(); v != nil && v.Value.Feat.ConfigEqual(l.f) && len(set.X) >= l.opts.MinEvalPairs {
-		if evalVectors(v.Value, set.X, set.Y).Accuracy < l.opts.AccuracyFloor {
+		if evalVectors(v.Value, set.X, set.Y).Accuracy < l.opts.MinAccuracy {
 			return "accuracy"
 		}
 	}
@@ -374,7 +371,6 @@ func (l *Loop) runCycleLocked(ctx context.Context, trigger string) *CycleReport 
 	l.cycles++
 	rep.Cycle = l.cycles
 	l.lastCycle = rep
-	l.lastCycleAt = rep.FinishedAt
 	l.lastSeen = total
 	switch rep.Decision {
 	case DecisionPromoted:

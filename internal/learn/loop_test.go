@@ -193,6 +193,75 @@ func TestLoopSkipsThinTelemetry(t *testing.T) {
 	}
 }
 
+// TestDueTriggerOrder pins the ticker's trigger order and what each check
+// reads: a pending monitor fires before the telemetry is read, then the
+// record threshold, then a champion whose accuracy on fresh pairs falls
+// below MinAccuracy.
+func TestDueTriggerOrder(t *testing.T) {
+	reg, err := registry.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := &fakeSink{}
+	reads := 0
+	source := func() ([]expdata.PlanRecord, int64) {
+		reads++
+		return sink.snapshot()
+	}
+	loop := NewLoop(reg, source, 0, testLoopOptions(7))
+	defer loop.Stop()
+	due := func() (string, int) {
+		reads = 0
+		return loop.dueTrigger(), reads
+	}
+	g := &gen{}
+	ctx := context.Background()
+
+	// v1 promoted on phase A, then v2 over it on phase B: v2 awaits its
+	// live check.
+	for i, phase := range [][]expdata.PlanRecord{phaseA(g, 4), phaseB(g, 4)} {
+		sink.add(phase...)
+		if rep, err := loop.RunCycle(ctx, "test"); err != nil || rep.Decision != DecisionPromoted {
+			t.Fatalf("cycle %d: %v %+v, want promoted", i+1, err, rep)
+		}
+	}
+	if trig, n := due(); trig != "monitor" || n != 0 {
+		t.Fatalf("pending monitor: trigger %q after %d telemetry reads, want monitor after 0", trig, n)
+	}
+
+	// Phase A returns, so the live check rolls v2 back to v1. That clears
+	// the monitor and both drift references, and nothing is new after it.
+	sink.add(phaseA(g, 4)...)
+	if rep, err := loop.RunCycle(ctx, "test"); err != nil || rep.Decision != DecisionRolledBack {
+		t.Fatalf("cycle 3: %v %+v, want rolled_back", err, rep)
+	}
+	if trig, n := due(); trig != "" || n != 1 {
+		t.Fatalf("no new records: trigger %q after %d reads, want none after 1", trig, n)
+	}
+	sink.add(phaseB(g, 4)[:loop.opts.RecordThreshold]...)
+	if trig, n := due(); trig != "records" || n != 1 {
+		t.Fatalf("record threshold reached: trigger %q after %d reads, want records after 1", trig, n)
+	}
+
+	// With the record trigger parked, a window of phase-B pairs leaves the
+	// phase-A champion below MinAccuracy, and that floor alone decides.
+	loop.opts.RecordThreshold = 1 << 20
+	sink.add(phaseB(g, 4)...)
+	if trig, n := due(); trig != "accuracy" || n != 1 {
+		t.Fatalf("champion on phase B: trigger %q after %d reads, want accuracy after 1", trig, n)
+	}
+	recs, _ := sink.snapshot()
+	set := Compact(recs, loop.f, loop.opts)
+	acc := evalVectors(reg.Models.Active().Value, set.X, set.Y).Accuracy
+	if acc >= loop.opts.MinAccuracy {
+		t.Fatalf("champion accuracy %.3f, want below MinAccuracy %.2f", acc, loop.opts.MinAccuracy)
+	}
+	loop.opts.MinAccuracy = acc
+	if trig, _ := due(); trig != "" {
+		t.Fatalf("champion exactly at MinAccuracy fired %q", trig)
+	}
+}
+
 // TestLoopSerializesCycles: TriggerAsync holds a single-flight slot.
 func TestLoopSerializesCycles(t *testing.T) {
 	reg, _ := registry.Open("")

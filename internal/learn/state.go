@@ -17,13 +17,12 @@ import (
 // their own; this file closes the gap the tenant manager used to reset on
 // reload.
 type LoopState struct {
-	SavedAt     time.Time `json:"saved_at"`
-	Cycles      int       `json:"cycles"`
-	Promotions  int       `json:"promotions"`
-	Rejections  int       `json:"rejections"`
-	Rollbacks   int       `json:"rollbacks"`
-	LastSeen    int64     `json:"last_seen"`
-	LastCycleAt time.Time `json:"last_cycle_at,omitempty"`
+	SavedAt    time.Time `json:"saved_at"`
+	Cycles     int       `json:"cycles"`
+	Promotions int       `json:"promotions"`
+	Rejections int       `json:"rejections"`
+	Rollbacks  int       `json:"rollbacks"`
+	LastSeen   int64     `json:"last_seen"`
 
 	Reference      *ChannelSummary          `json:"reference,omitempty"`
 	EmbedReference *embed.WorkloadEmbedding `json:"embed_reference,omitempty"`
@@ -36,13 +35,12 @@ func (l *Loop) ExportState() *LoopState {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	st := &LoopState{
-		SavedAt:     time.Now().UTC(),
-		Cycles:      l.cycles,
-		Promotions:  l.promotions,
-		Rejections:  l.rejections,
-		Rollbacks:   l.rollbacks,
-		LastSeen:    l.lastSeen,
-		LastCycleAt: l.lastCycleAt,
+		SavedAt:    time.Now().UTC(),
+		Cycles:     l.cycles,
+		Promotions: l.promotions,
+		Rejections: l.rejections,
+		Rollbacks:  l.rollbacks,
+		LastSeen:   l.lastSeen,
 	}
 	if l.reference != nil {
 		ref := *l.reference
@@ -73,7 +71,6 @@ func (l *Loop) RestoreState(st *LoopState) {
 	l.rejections = st.Rejections
 	l.rollbacks = st.Rollbacks
 	l.lastSeen = st.LastSeen
-	l.lastCycleAt = st.LastCycleAt
 	l.reference = st.Reference
 	l.embedRef = st.EmbedReference
 	l.monitor = st.Monitor

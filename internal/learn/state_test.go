@@ -81,8 +81,32 @@ func TestLoopStateSpillRestore(t *testing.T) {
 	}
 }
 
+// lastCycleAtStateFile is a spill file written before the state lost its
+// last_cycle_at field, by a loop left monitoring v2 after two promotions.
+const lastCycleAtStateFile = `{
+  "saved_at": "2026-10-18T04:38:10.042681033Z",
+  "cycles": 2,
+  "promotions": 2,
+  "rejections": 0,
+  "rollbacks": 0,
+  "last_seen": 40,
+  "last_cycle_at": "2026-10-18T04:38:10.042680138Z",
+  "reference": {
+    "count": 20,
+    "mean": [5.861754181745539, 5.172561139885493, 6.077952615707362],
+    "std": [0.8103086442614243, 0.8071836573311203, 0.6888122920071903]
+  },
+  "monitor": {
+    "promoted_version": 2,
+    "prior_version": 1,
+    "shadow_accuracy": 0.9,
+    "watermark": 40
+  }
+}`
+
 // TestRestoreStateFileMissingAndCorrupt: a missing spill file is a clean
-// start; a corrupt one surfaces an error instead of silently resetting.
+// start; a corrupt one surfaces an error instead of silently resetting;
+// one that still carries last_cycle_at restores everything else.
 func TestRestoreStateFileMissingAndCorrupt(t *testing.T) {
 	reg, _ := registry.Open("")
 	sink := &fakeSink{}
@@ -97,6 +121,22 @@ func TestRestoreStateFileMissingAndCorrupt(t *testing.T) {
 	}
 	if err := loop.RestoreStateFile(bad); err == nil {
 		t.Fatal("corrupt state file restored silently")
+	}
+
+	old := filepath.Join(t.TempDir(), "old.json")
+	if err := writeFile(old, lastCycleAtStateFile); err != nil {
+		t.Fatal(err)
+	}
+	if err := loop.RestoreStateFile(old); err != nil {
+		t.Fatalf("state file with last_cycle_at: %v", err)
+	}
+	st := loop.ExportState()
+	want := MonitorStatus{PromotedVersion: 2, PriorVersion: 1, ShadowAccuracy: 0.9, Watermark: 40}
+	if st.Cycles != 2 || st.Promotions != 2 || st.LastSeen != 40 || st.Monitor == nil || *st.Monitor != want {
+		t.Fatalf("restored state %+v, want 2 cycles, 2 promotions, 40 seen, monitor %+v", st, want)
+	}
+	if st.Reference == nil || st.Reference.Count != 20 || st.Reference.Mean[2] != 6.077952615707362 {
+		t.Fatalf("restored drift reference %+v", st.Reference)
 	}
 }
 

@@ -344,10 +344,10 @@ func TestDNNPartialAndSkipAndHighway(t *testing.T) {
 	if acc := accuracy(net, Xt, yt); acc < 0.7 {
 		t.Fatalf("partial dnn accuracy %v", acc)
 	}
-	// Hidden exposes the last hidden layer at its declared width.
-	h := net.Hidden(X[0])
-	if len(h) != net.HiddenDim() {
-		t.Fatalf("hidden dim %d != %d", len(h), net.HiddenDim())
+	// Hidden exposes the last hidden layer at its width: the highway layer
+	// keeps the 12 units of the dense layers before it.
+	if h := net.Hidden(X[0]); len(h) != 12 {
+		t.Fatalf("hidden dim %d != 12", len(h))
 	}
 }
 

@@ -682,11 +682,3 @@ func (n *Net) Hidden(x []float64) []float64 {
 	inferPool.Put(s)
 	return out
 }
-
-// HiddenDim returns the width of the last hidden layer.
-func (n *Net) HiddenDim() int {
-	if len(n.layers) == 0 {
-		return n.inDim
-	}
-	return n.layers[len(n.layers)-1].outDim
-}

@@ -124,14 +124,3 @@ func (n *Net) trainTargets(X, T [][]float64, epochs int) error {
 	}
 	return nil
 }
-
-// Regress runs the non-mutating forward pass and returns the raw linear
-// outputs (no softmax) — the reconstruction of an autoencoder. Safe for
-// concurrent use on a trained network.
-func (n *Net) Regress(x []float64) []float64 {
-	s := inferPool.Get().(*inferScratch)
-	cur := n.infer(x, true, s)
-	out := append([]float64(nil), cur...)
-	inferPool.Put(s)
-	return out
-}

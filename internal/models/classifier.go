@@ -57,18 +57,6 @@ func growLabels(out []expdata.Label, n int) []expdata.Label {
 	return out[:n]
 }
 
-// IsRegression reports whether moving from pOld's plan to pNew's plan is
-// predicted to significantly increase execution cost.
-func IsRegression(c Comparator, pOld, pNew *plan.Plan) bool {
-	return c.Compare(pOld, pNew) == expdata.Regression
-}
-
-// IsImprovement reports whether pNew is predicted to be significantly
-// cheaper than pOld.
-func IsImprovement(c Comparator, pOld, pNew *plan.Plan) bool {
-	return c.Compare(pOld, pNew) == expdata.Improvement
-}
-
 // Classifier is the paper's core contribution: a ternary classifier over
 // featurized plan pairs, directly minimizing comparison errors.
 type Classifier struct {

@@ -84,14 +84,6 @@ func TestClassifierCompareAndProba(t *testing.T) {
 	if u < 0 || u > 1 {
 		t.Fatalf("uncertainty %v", u)
 	}
-	// IsRegression/IsImprovement consistency with Compare.
-	label := clf.Compare(p.P1.Plan, p.P2.Plan)
-	if IsRegression(clf, p.P1.Plan, p.P2.Plan) != (label == expdata.Regression) {
-		t.Fatal("IsRegression inconsistent")
-	}
-	if IsImprovement(clf, p.P1.Plan, p.P2.Plan) != (label == expdata.Improvement) {
-		t.Fatal("IsImprovement inconsistent")
-	}
 }
 
 func TestClassifierRejectsEmptyTraining(t *testing.T) {

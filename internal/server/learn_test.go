@@ -78,7 +78,7 @@ func pollLearnIdle(t testing.TB, base string, wantCycles int) learn.Status {
 func TestServeLearnRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s := newTestServer(t, func(c *Config) {
-		c.TelemetryPath = filepath.Join(dir, "telemetry.jsonl")
+		c.DefaultTelemetryPath = filepath.Join(dir, "telemetry.jsonl")
 		c.RegistryKeep = 2
 		c.Learn = learn.Options{
 			Seed:             11,

@@ -50,7 +50,6 @@ import (
 	"repro/internal/engine/opt"
 	"repro/internal/engine/query"
 	"repro/internal/expdata"
-	"repro/internal/learn"
 	"repro/internal/models"
 	"repro/internal/obs"
 	sqlparse "repro/internal/sql"
@@ -86,52 +85,16 @@ type Config struct {
 	// what-if probe fan-out).
 	TunerOpts tuner.Options
 
-	// ModelDir is the default tenant's versioned model registry directory;
-	// empty keeps its models in memory only.
-	ModelDir string
-	// RegistryKeep bounds each tenant's registry after promotions and
-	// uploads: the active version, its predecessor (the rollback target),
-	// and the newest RegistryKeep versions survive pruning. 0 keeps
-	// everything.
-	RegistryKeep int
-	// TelemetryPath appends the default tenant's ingested telemetry as JSON
-	// lines; empty keeps records in memory only.
-	TelemetryPath string
-	// TelemetrySegmentBytes / TelemetrySegments bound each tenant's on-disk
-	// telemetry window: segments rotate at TelemetrySegmentBytes and at most
-	// TelemetrySegments are retained (0 = defaults).
-	TelemetrySegmentBytes int64
-	TelemetrySegments     int
+	// Config holds the per-tenant settings: the default tenant's registry
+	// and telemetry paths, the tenants root, the active-tenant bound,
+	// registry and telemetry retention, ingest sampling, admission rates,
+	// warm start, and every tenant's learning loop (GET /v1/learn/status,
+	// POST /v1/learn/trigger; a background ticker when Learn.Interval > 0).
+	tenant.Config
 
-	// TenantsDir is the data root for non-default tenants: tenant t keeps
-	// its registry at <TenantsDir>/<t>/models and telemetry at
-	// <TenantsDir>/<t>/telemetry.jsonl. Empty keeps non-default tenants in
-	// memory only.
-	TenantsDir string
-	// MaxActiveTenants bounds the materialized tenant set; the LRU idle
-	// tenant is evicted (loop stopped, telemetry flushed) and reloaded on
-	// its next request. Default 8.
-	MaxActiveTenants int
-	// TenantRate / TenantBurst configure each tenant's synchronous-plane
-	// token bucket in requests/second (0 = no rate limiting).
-	TenantRate  float64
-	TenantBurst int
 	// TenantWeights sets weighted-round-robin shares for the tuning-job
 	// queues (absent tenants get weight 1).
 	TenantWeights map[string]int
-	// TenantIngestRate engages per-tenant telemetry sampling above this
-	// many records/second (0 = never sample); sampled-out records are
-	// compensated by weighting survivors, keeping learn-loop aggregates
-	// unbiased.
-	TenantIngestRate float64
-	// WarmStartFloor is the minimum workload-embedding cosine similarity
-	// for cross-tenant warm start (0 = default 0.80; negative disables).
-	WarmStartFloor float64
-
-	// Learn configures every tenant's online learning loop (GET
-	// /v1/learn/status, POST /v1/learn/trigger; a background ticker when
-	// Learn.Interval > 0).
-	Learn learn.Options
 
 	// Workers is the tuning-job worker pool size (default 1: tuning jobs
 	// are internally parallel already via TunerOpts.Parallelism).
@@ -178,20 +141,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Workload == nil || cfg.WhatIf == nil || cfg.Exec == nil {
 		return nil, fmt.Errorf("server: Config needs Workload, WhatIf, and Exec")
 	}
-	mgr := tenant.NewManager(tenant.Config{
-		Dir:                   cfg.TenantsDir,
-		DefaultModelDir:       cfg.ModelDir,
-		DefaultTelemetryPath:  cfg.TelemetryPath,
-		MaxActive:             cfg.MaxActiveTenants,
-		RegistryKeep:          cfg.RegistryKeep,
-		TelemetrySegmentBytes: cfg.TelemetrySegmentBytes,
-		TelemetrySegments:     cfg.TelemetrySegments,
-		IngestRate:            cfg.TenantIngestRate,
-		Learn:                 cfg.Learn,
-		Rate:                  cfg.TenantRate,
-		Burst:                 cfg.TenantBurst,
-		WarmStartFloor:        cfg.WarmStartFloor,
-	})
+	mgr := tenant.NewManager(cfg.Config)
 	// Materialize the default tenant eagerly so a corrupt model store or
 	// unwritable telemetry path fails startup, not the first request.
 	def, err := mgr.Acquire(tenant.DefaultID)

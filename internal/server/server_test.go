@@ -49,7 +49,7 @@ func newTestServer(t testing.TB, mutate func(*Config)) *Server {
 		WhatIf:    opt.NewWhatIf(opt.New(w.Schema, ds)),
 		Exec:      exec.New(w.DB),
 		TunerOpts: tuner.Options{Parallelism: 2},
-		ModelDir:  t.TempDir(),
+		Config:    tenant.Config{DefaultModelDir: t.TempDir()},
 		Workers:   1,
 		QueueSize: 4,
 	}

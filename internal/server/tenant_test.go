@@ -193,7 +193,7 @@ func TestServeTenantIsolation(t *testing.T) {
 
 	singleDir := t.TempDir()
 	single := newTestServer(t, func(c *Config) {
-		c.ModelDir = singleDir
+		c.DefaultModelDir = singleDir
 		c.Learn = testLearnOptions()
 	})
 	singleAddr, err := single.Start("127.0.0.1:0")
@@ -303,8 +303,8 @@ func TestServeTenantIsolation(t *testing.T) {
 // stay unaffected.
 func TestServeTenantAdmission(t *testing.T) {
 	s := newTestServer(t, func(c *Config) {
-		c.TenantRate = 0.5 // slow refill so the test never races a token
-		c.TenantBurst = 2
+		c.Rate = 0.5 // slow refill so the test never races a token
+		c.Burst = 2
 	})
 	addr, err := s.Start("127.0.0.1:0")
 	if err != nil {

@@ -25,34 +25,43 @@ var (
 	mSpills     = obs.C("server.tenant.state_spills")
 )
 
-// Config wires a Manager to the per-tenant resources it materializes.
+// Config wires a Manager to the per-tenant resources it materializes. The
+// server's Config embeds it, so each setting is declared here once.
 type Config struct {
-	// Dir is the data root for non-default tenants: tenant t gets a model
-	// registry at <Dir>/<t>/models and a telemetry partition at
-	// <Dir>/<t>/telemetry.jsonl. Empty keeps non-default tenants entirely
-	// in memory (ephemeral registries and bounded telemetry buffers).
-	Dir string
+	// TenantsDir is the data root for non-default tenants: tenant t gets a
+	// model registry at <TenantsDir>/<t>/models and a telemetry partition
+	// at <TenantsDir>/<t>/telemetry.jsonl. Empty keeps non-default tenants
+	// entirely in memory (ephemeral registries and bounded telemetry
+	// buffers).
+	TenantsDir string
 	// DefaultModelDir / DefaultTelemetryPath are the default tenant's
 	// locations — the exact paths a pre-multi-tenant server used, so
 	// existing deployments keep their registry and telemetry in place.
+	// Empty keeps the default tenant's models or telemetry in memory.
 	DefaultModelDir      string
 	DefaultTelemetryPath string
 
-	// MaxActive bounds the materialized tenant set (default 8, min 1). The
-	// least-recently-used idle tenant is evicted — learning loop stopped,
-	// telemetry flushed and closed — and transparently reloaded on its
-	// next request.
-	MaxActive int
+	// MaxActiveTenants bounds the materialized tenant set (default 8,
+	// min 1). The least-recently-used idle tenant is evicted — learning
+	// loop stopped, telemetry flushed and closed — and transparently
+	// reloaded on its next request.
+	MaxActiveTenants int
 
-	// RegistryKeep bounds each tenant's registry after promotions
-	// (0 = keep everything).
+	// RegistryKeep bounds each tenant's registry after promotions and
+	// uploads: the active version, its predecessor (the rollback target),
+	// and the newest RegistryKeep versions survive pruning. 0 keeps
+	// everything.
 	RegistryKeep int
 	// TelemetrySegmentBytes / TelemetrySegments bound each tenant's
-	// telemetry partition (0 = package defaults).
+	// on-disk telemetry: segments rotate at TelemetrySegmentBytes and at
+	// most TelemetrySegments are retained (0 = package defaults, 8 MiB
+	// and 4).
 	TelemetrySegmentBytes int64
 	TelemetrySegments     int
 	// IngestRate engages per-tenant telemetry sampling above this many
-	// records/second (0 = never sample); see telemetry.Opts.SampleRate.
+	// records/second (0 = never sample); sampled-out records are
+	// compensated by weighting survivors, keeping learn-loop aggregates
+	// unbiased (see telemetry.Opts.SampleRate).
 	IngestRate float64
 
 	// Learn configures every tenant's learning loop. Loops are fully
@@ -74,8 +83,8 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.MaxActive <= 0 {
-		c.MaxActive = 8
+	if c.MaxActiveTenants <= 0 {
+		c.MaxActiveTenants = 8
 	}
 	if c.WarmStartFloor == 0 {
 		c.WarmStartFloor = DefaultWarmStartFloor
@@ -154,10 +163,10 @@ func (m *Manager) paths(id string) (modelDir, telPath, statePath string, err err
 		}
 		return m.cfg.DefaultModelDir, m.cfg.DefaultTelemetryPath, statePath, nil
 	}
-	if m.cfg.Dir == "" {
+	if m.cfg.TenantsDir == "" {
 		return "", "", "", nil
 	}
-	base := filepath.Join(m.cfg.Dir, id)
+	base := filepath.Join(m.cfg.TenantsDir, id)
 	if err := os.MkdirAll(base, 0o755); err != nil {
 		return "", "", "", fmt.Errorf("tenant: creating %s: %w", base, err)
 	}
@@ -254,7 +263,7 @@ func (m *Manager) materializeLocked(id string) (*Tenant, error) {
 // Every failure path simply leaves the tenant cold — warm start is an
 // optimization, never a gate.
 func (m *Manager) warmStart(t *Tenant) {
-	if m.cfg.WarmStartFloor <= 0 || m.cfg.Dir == "" || t.Reg.Models.Active() != nil {
+	if m.cfg.WarmStartFloor <= 0 || m.cfg.TenantsDir == "" || t.Reg.Models.Active() != nil {
 		return
 	}
 	recs, _ := t.Sink.Snapshot()
@@ -271,10 +280,10 @@ func (m *Manager) warmStart(t *Tenant) {
 		encVer    int
 	}
 	dirs := []candidate{}
-	if entries, err := os.ReadDir(m.cfg.Dir); err == nil {
+	if entries, err := os.ReadDir(m.cfg.TenantsDir); err == nil {
 		for _, e := range entries {
 			if e.IsDir() && e.Name() != t.ID {
-				dirs = append(dirs, candidate{id: e.Name(), modelDir: filepath.Join(m.cfg.Dir, e.Name(), "models")})
+				dirs = append(dirs, candidate{id: e.Name(), modelDir: filepath.Join(m.cfg.TenantsDir, e.Name(), "models")})
 			}
 		}
 	}
@@ -340,14 +349,14 @@ func (m *Manager) Release(t *Tenant) {
 }
 
 // evictOverflowLocked evicts least-recently-used idle tenants until the
-// active set fits MaxActive. Tenants with in-flight references are never
-// evicted (the set may transiently exceed the bound under concurrent
+// active set fits MaxActiveTenants. Tenants with in-flight references are
+// never evicted (the set may transiently exceed the bound under concurrent
 // load). Finalization — stopping the loop, flushing and closing the sink —
 // runs without the manager lock so slow teardown cannot stall unrelated
 // tenants.
 func (m *Manager) evictOverflowLocked() {
 	var victims []*Tenant
-	for len(m.active) > m.cfg.MaxActive {
+	for len(m.active) > m.cfg.MaxActiveTenants {
 		var victim string
 		var oldest uint64
 		for id, e := range m.active {

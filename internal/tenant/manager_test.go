@@ -44,10 +44,10 @@ func testManager(t *testing.T, mutate func(*Config)) *Manager {
 	t.Helper()
 	dir := t.TempDir()
 	cfg := Config{
-		Dir:                  filepath.Join(dir, "tenants"),
+		TenantsDir:           filepath.Join(dir, "tenants"),
 		DefaultModelDir:      filepath.Join(dir, "models"),
 		DefaultTelemetryPath: filepath.Join(dir, "telemetry.jsonl"),
-		MaxActive:            4,
+		MaxActiveTenants:     4,
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -95,7 +95,7 @@ func TestManagerNamespacing(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(m.cfg.DefaultModelDir, "v0001.clf")); err != nil {
 		t.Fatalf("default tenant model not in flat layout: %v", err)
 	}
-	if _, err := os.Stat(filepath.Join(m.cfg.Dir, "acme", "models", "v0001.clf")); err != nil {
+	if _, err := os.Stat(filepath.Join(m.cfg.TenantsDir, "acme", "models", "v0001.clf")); err != nil {
 		t.Fatalf("acme model not namespaced: %v", err)
 	}
 
@@ -103,7 +103,7 @@ func TestManagerNamespacing(t *testing.T) {
 	if _, err := a.Sink.Append([]expdata.PlanRecord{{Query: "q", Cost: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(m.cfg.Dir, "acme", "telemetry.jsonl")); err != nil {
+	if _, err := os.Stat(filepath.Join(m.cfg.TenantsDir, "acme", "telemetry.jsonl")); err != nil {
 		t.Fatalf("acme telemetry not namespaced: %v", err)
 	}
 	recs, _ := def.Sink.Snapshot()
@@ -113,7 +113,7 @@ func TestManagerNamespacing(t *testing.T) {
 }
 
 func TestManagerEvictionThenReloadPreservesCurrent(t *testing.T) {
-	m := testManager(t, func(c *Config) { c.MaxActive = 1 })
+	m := testManager(t, func(c *Config) { c.MaxActiveTenants = 1 })
 
 	a, err := m.Acquire("acme")
 	if err != nil {
@@ -128,7 +128,7 @@ func TestManagerEvictionThenReloadPreservesCurrent(t *testing.T) {
 	}
 	m.Release(a)
 
-	// Materializing a second tenant overflows MaxActive=1 and evicts acme.
+	// Materializing a second tenant overflows MaxActiveTenants=1 and evicts acme.
 	b, err := m.Acquire("beta")
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +162,7 @@ func TestManagerEvictionThenReloadPreservesCurrent(t *testing.T) {
 }
 
 func TestManagerEvictionSkipsReferencedTenants(t *testing.T) {
-	m := testManager(t, func(c *Config) { c.MaxActive = 1 })
+	m := testManager(t, func(c *Config) { c.MaxActiveTenants = 1 })
 
 	a, err := m.Acquire("acme") // held: refs=1
 	if err != nil {
@@ -197,7 +197,7 @@ func TestManagerEvictionSkipsReferencedTenants(t *testing.T) {
 }
 
 func TestManagerConcurrentAcquire(t *testing.T) {
-	m := testManager(t, func(c *Config) { c.MaxActive = 2 })
+	m := testManager(t, func(c *Config) { c.MaxActiveTenants = 2 })
 
 	// Two tenants, many goroutines acquiring each concurrently with churn
 	// from a third; -race and the conservation checks below are the assert.

@@ -197,16 +197,6 @@ func (s *Scheduler) advanceLocked(drop bool) {
 	}
 }
 
-// Depth reports tenant id's current queue depth.
-func (s *Scheduler) Depth(id string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if q := s.queues[id]; q != nil {
-		return len(q.items)
-	}
-	return 0
-}
-
 // Depths snapshots every non-empty queue's depth.
 func (s *Scheduler) Depths() map[string]int {
 	s.mu.Lock()

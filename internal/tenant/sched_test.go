@@ -21,9 +21,6 @@ func TestSchedulerPerTenantBackpressure(t *testing.T) {
 	if err := s.Submit("b", 0); err != nil {
 		t.Fatalf("Submit b while a is full: %v", err)
 	}
-	if got := s.Depth("a"); got != 2 {
-		t.Fatalf("Depth(a) = %d, want 2", got)
-	}
 	if got := s.Depths(); got["a"] != 2 || got["b"] != 1 {
 		t.Fatalf("Depths() = %v", got)
 	}

@@ -148,7 +148,7 @@ func TestManagerWarmStart(t *testing.T) {
 	// beta has never materialized but has a thin forwarded telemetry window
 	// with alpha's workload shape.
 	gb := &telGen{}
-	writeTelemetryFile(t, filepath.Join(m.cfg.Dir, "beta", "telemetry.jsonl"), telPhaseA(gb, 2))
+	writeTelemetryFile(t, filepath.Join(m.cfg.TenantsDir, "beta", "telemetry.jsonl"), telPhaseA(gb, 2))
 
 	b, err := m.Acquire("beta")
 	if err != nil {
@@ -234,7 +234,7 @@ func TestManagerWarmStartRespectsFloor(t *testing.T) {
 	promoteTenant(t, m, "alpha", g)
 
 	gb := &telGen{}
-	writeTelemetryFile(t, filepath.Join(m.cfg.Dir, "ceta", "telemetry.jsonl"), telPhaseShift(gb, 2))
+	writeTelemetryFile(t, filepath.Join(m.cfg.TenantsDir, "ceta", "telemetry.jsonl"), telPhaseShift(gb, 2))
 	c, err := m.Acquire("ceta")
 	if err != nil {
 		t.Fatal(err)
@@ -258,7 +258,7 @@ func TestManagerWarmStartDisabled(t *testing.T) {
 	g := &telGen{}
 	promoteTenant(t, m, "alpha", g)
 	gb := &telGen{}
-	writeTelemetryFile(t, filepath.Join(m.cfg.Dir, "beta", "telemetry.jsonl"), telPhaseA(gb, 2))
+	writeTelemetryFile(t, filepath.Join(m.cfg.TenantsDir, "beta", "telemetry.jsonl"), telPhaseA(gb, 2))
 	b, err := m.Acquire("beta")
 	if err != nil {
 		t.Fatal(err)
@@ -276,7 +276,7 @@ func TestManagerWarmStartDisabled(t *testing.T) {
 func TestManagerEvictionSpillsLearnState(t *testing.T) {
 	m := testManager(t, func(c *Config) {
 		c.Learn = embedLearnOpts(7)
-		c.MaxActive = 1
+		c.MaxActiveTenants = 1
 		c.WarmStartFloor = -1 // isolate the spill path
 	})
 	ctx := context.Background()
@@ -317,7 +317,7 @@ func TestManagerEvictionSpillsLearnState(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Release(a2)
-	if _, err := os.Stat(filepath.Join(m.cfg.Dir, "alpha", "learn_state.json")); err != nil {
+	if _, err := os.Stat(filepath.Join(m.cfg.TenantsDir, "alpha", "learn_state.json")); err != nil {
 		t.Fatalf("spill file missing after eviction: %v", err)
 	}
 	after := a2.Loop.Status()

@@ -71,9 +71,6 @@ type Options struct {
 	// %-of-columns budget the index-tuning literature benchmarks at
 	// 10%/20% of database columns.
 	MaxColumnFraction float64
-	// CandidateLimits bound candidate generation per query; zero fields
-	// take candidates.DefaultLimits.
-	CandidateLimits candidates.Limits
 	// Compress dedups the workload by constant-stripped template into
 	// weighted representatives before TuneWorkload's search (see
 	// CompressWorkload), cutting what-if probes on duplicate-heavy
@@ -85,10 +82,6 @@ type Options struct {
 	// only recommended when the estimated improvement exceeds this
 	// fraction (0 disables the threshold).
 	MinEstImprovement float64
-	// RequireImprovement makes the model-gated tuner advance only on
-	// predicted improvements (with optimizer-estimate tie-breaks on
-	// unsure), per §5.
-	RequireImprovement bool
 	// Parallelism bounds the worker pool fanning out what-if probes
 	// (0 = runtime.GOMAXPROCS(0); 1 = serial). Recommendations are
 	// identical at every setting; only wall-clock time changes.
@@ -296,18 +289,13 @@ func gate(cmp models.Comparator, n int, probe func(k int) (p0, p *plan.Plan, err
 // moving leader would make the chosen index depend on candidate iteration
 // order. Survivors of the fixed gate are instead ranked by one
 // deterministic rule: lowest estimated cost, earliest candidate on ties.
-func (t *Tuner) better(cmp models.Comparator, pBest, pH *plan.Plan) bool {
+func better(cmp models.Comparator, pBest, pH *plan.Plan) bool {
 	if cmp != nil {
 		switch cmp.Compare(pBest, pH) {
 		case expdata.Improvement:
 			return true
 		case expdata.Regression:
 			return false
-		default:
-			if t.Opts.RequireImprovement {
-				return false
-			}
-			return pH.EstTotalCost < pBest.EstTotalCost
 		}
 	}
 	return pH.EstTotalCost < pBest.EstTotalCost
@@ -350,7 +338,7 @@ func (t *Tuner) tuneQuery(ctx context.Context, q *query.Query, c0 *catalog.Confi
 	if err != nil {
 		return nil, fmt.Errorf("tuner: initial plan for %s: %w", q.Name, err)
 	}
-	cands := candidates.Generate(q, t.Schema, t.Opts.CandidateLimits)
+	cands := candidates.CandidateIndexes(q, t.Schema)
 	bestCfg, bestPlan := c0, p0
 	used := map[string]bool{}
 
@@ -393,7 +381,7 @@ func (t *Tuner) tuneQuery(ctx context.Context, q *query.Query, c0 *catalog.Confi
 			if verdicts != nil && !gateVerdict(verdicts[i]) {
 				continue
 			}
-			if !t.better(cmp, bestPlan, pr.p) {
+			if !better(cmp, bestPlan, pr.p) {
 				continue
 			}
 			if step == nil || pr.p.EstTotalCost < step.p.EstTotalCost {

@@ -78,31 +78,6 @@ func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }
 // Bool returns true with probability p.
 func (g *RNG) Bool(p float64) bool { return g.r.Float64() < p }
 
-// Choice returns a uniformly random element index weighted by w. The weights
-// must be non-negative and not all zero; otherwise it falls back to uniform.
-func (g *RNG) Choice(w []float64) int {
-	var total float64
-	for _, v := range w {
-		if v > 0 {
-			total += v
-		}
-	}
-	if total <= 0 {
-		return g.Intn(len(w))
-	}
-	x := g.Float64() * total
-	for i, v := range w {
-		if v <= 0 {
-			continue
-		}
-		x -= v
-		if x <= 0 {
-			return i
-		}
-	}
-	return len(w) - 1
-}
-
 // SampleWithoutReplacement returns k distinct indices from [0, n). If k >= n
 // it returns all n indices in random order.
 func (g *RNG) SampleWithoutReplacement(n, k int) []int {

@@ -56,22 +56,6 @@ func TestRNGInt64Range(t *testing.T) {
 	}
 }
 
-func TestRNGChoice(t *testing.T) {
-	g := NewRNG(3)
-	counts := make([]int, 3)
-	w := []float64{0, 1, 3}
-	for i := 0; i < 4000; i++ {
-		counts[g.Choice(w)]++
-	}
-	if counts[0] != 0 {
-		t.Fatalf("zero-weight index chosen %d times", counts[0])
-	}
-	ratio := float64(counts[2]) / float64(counts[1])
-	if ratio < 2.2 || ratio > 4.0 {
-		t.Fatalf("weighted choice ratio off: %.2f (want ~3)", ratio)
-	}
-}
-
 func TestRNGSampleWithoutReplacement(t *testing.T) {
 	g := NewRNG(5)
 	s := g.SampleWithoutReplacement(10, 4)

@@ -11,6 +11,11 @@
 // pkg.Type.Method. An allowlist entry the scan no longer lists fails too,
 // so the list can only shrink.
 //
+// It also fails on any command-line flag registered under cmd/ that the
+// docs do not mention: README.md must name it (as -flag), and so must the
+// line of its subcommand in the Usage: block of cmd/aimai/main.go's package
+// comment. There is no allowlist for flags: document one or delete it.
+//
 //	go run ./scripts/deadcode    # from the repository root
 package main
 
@@ -60,11 +65,17 @@ func main() {
 		fmt.Printf("allowlist entry has a caller or is gone, remove it: %s\n", name)
 		bad++
 	}
-	if bad > 0 {
-		fmt.Printf("deadcode: %d problem(s); give each name a caller, delete it, or allowlist it with a reason in %s\n", bad, allowlist)
+	nflags, undocumented, err := checkFlags()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "deadcode:", err)
+		os.Exit(2)
+	}
+	if bad+undocumented > 0 {
+		fmt.Printf("deadcode: %d problem(s); give each name a caller, delete it, or allowlist it with a reason in %s; document each flag in %s and the Usage: comment of %s, or delete it\n",
+			bad+undocumented, allowlist, readme, usageFile)
 		os.Exit(1)
 	}
-	fmt.Printf("deadcode: %d uncalled exported names, all allowlisted\n", len(listed))
+	fmt.Printf("deadcode: %d uncalled exported names, all allowlisted; %d flags, all documented\n", len(listed), nflags)
 }
 
 // decl is one exported function or method declared under internal/.
