@@ -241,6 +241,9 @@ func cmdTune(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("tune: unexpected argument %q (name one query with -query)", fs.Arg(0))
+	}
 	if *metricsAddr != "" {
 		msrv, err := startMetrics(*metricsAddr, *withPprof)
 		if err != nil {
@@ -384,6 +387,9 @@ func cmdWorkloads(args []string) error {
 	sql := fs.Bool("sql", false, "print each query's SQL")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("workloads: unexpected argument %q", fs.Arg(0))
 	}
 	fmt.Printf("%-10s %10s %8s %9s %10s %10s\n", "workload", "size (MB)", "#tables", "#queries", "avg joins", "max joins")
 	for _, w := range aimai.Suite(*scale, *seed) {

@@ -53,6 +53,9 @@ func cmdServe(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("serve: unexpected argument %q", fs.Arg(0))
+	}
 	var w *aimai.Workload
 	for _, cand := range aimai.Suite(*scale, *seed) {
 		if cand.Name == *db {

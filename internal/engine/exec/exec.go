@@ -586,7 +586,7 @@ func indexMetaFromNode(n *plan.Node, db *data.Database) (*catalog.Index, error) 
 		return nil, fmt.Errorf("exec: node %s has no index definition", n.KeyName())
 	}
 	if db.Table(n.IndexDef.Table) == nil {
-		return nil, fmt.Errorf("exec: index %q on missing table", n.Index)
+		return nil, fmt.Errorf("exec: index %q on missing table", n.Index())
 	}
 	return n.IndexDef, nil
 }
@@ -702,7 +702,7 @@ func (st *runState) indexSeek(n *plan.Node) (*batch, error) {
 		return nil, err
 	}
 	im := st.e.ixMeta(ix, tc)
-	lo, hi := seekBounds(ix, n.SeekPreds)
+	lo, hi := seekBounds(ix, n.SeekPreds())
 	rids, fetched, err := st.ridsInRange(ix, tc, lo, hi, n.ResidualPreds)
 	if err != nil {
 		return nil, err
@@ -816,13 +816,14 @@ func (st *runState) joinGather(left, right *batch, li, ri []int64) *batch {
 // operators apply it to every match of the driving predicate: the first
 // join predicate picks the physical algorithm, the rest filter its output.
 func extraJoinPairs(n *plan.Node, left, right *batch) (func(l, r int64) bool, error) {
-	if len(n.ExtraJoins) == 0 {
+	joins := n.ExtraJoins()
+	if len(joins) == 0 {
 		return nil, nil
 	}
 	type pair struct{ lv, rv []int64 }
-	ps := make([]pair, 0, len(n.ExtraJoins))
-	for i := range n.ExtraJoins {
-		je := &n.ExtraJoins[i]
+	ps := make([]pair, 0, len(joins))
+	for i := range joins {
+		je := &joins[i]
 		l := left.colIdx(je.LeftTable, je.LeftColumn)
 		r := right.colIdx(je.RightTable, je.RightColumn)
 		if l < 0 {
@@ -971,7 +972,7 @@ func (st *runState) mergeJoin(n *plan.Node) (*batch, error) {
 // the driven seek: anything else means the inner side is a general subtree
 // (a plain nested-loop join), not a per-probe index chain.
 func findInnerSeek(n *plan.Node) []*plan.Node {
-	if n.Op == plan.IndexSeek && len(n.SeekPreds) == 0 {
+	if n.Op == plan.IndexSeek && len(n.SeekPreds()) == 0 {
 		return []*plan.Node{n}
 	}
 	if n.Op != plan.Filter && n.Op != plan.KeyLookup {
@@ -1097,8 +1098,9 @@ func (st *runState) indexNLJ(n *plan.Node, outer *batch, innerPath []*plan.Node)
 		iv []int64 // inner table column, indexed by rid
 	}
 	var extras []inljExtra
-	for i := range n.ExtraJoins {
-		je := &n.ExtraJoins[i]
+	joins := n.ExtraJoins()
+	for i := range joins {
+		je := &joins[i]
 		icol := je.ColumnFor(seekNode.Table)
 		if icol == "" {
 			return nil, fmt.Errorf("exec: extra join %s does not touch inner table %s", je, seekNode.Table)
@@ -1193,15 +1195,16 @@ func (st *runState) sortOp(n *plan.Node) (*batch, error) {
 	if err != nil {
 		return nil, err
 	}
-	keys := make([][]int64, len(n.SortCols))
-	for i, c := range n.SortCols {
+	sortCols := n.SortCols()
+	keys := make([][]int64, len(sortCols))
+	for i, c := range sortCols {
 		ci := in.colIdx(c.Table, c.Column)
 		if ci < 0 {
 			return nil, fmt.Errorf("exec: sort column %s not found", c)
 		}
 		keys[i] = in.vecs[ci]
 	}
-	desc := st.q != nil && st.q.Desc && sameColRefs(n.SortCols, st.q.OrderBy)
+	desc := st.q != nil && st.q.Desc && sameColRefs(sortCols, st.q.OrderBy)
 	perm := st.a.alloc(in.n)
 	for i := range perm {
 		perm[i] = int64(i)
@@ -1241,8 +1244,8 @@ func (st *runState) topOp(n *plan.Node) (*batch, error) {
 		return nil, err
 	}
 	outN := in.n
-	if n.TopN > 0 && outN > n.TopN {
-		outN = n.TopN
+	if top := n.TopN(); top > 0 && outN > top {
+		outN = top
 	}
 	vecs := make([][]int64, len(in.vecs))
 	for j, v := range in.vecs {
@@ -1262,8 +1265,9 @@ func (st *runState) aggregate(n *plan.Node) (*batch, error) {
 		return nil, err
 	}
 	q := st.q
-	gvs := make([][]int64, len(n.GroupCols))
-	for i, c := range n.GroupCols {
+	groupCols := n.GroupCols()
+	gvs := make([][]int64, len(groupCols))
+	for i, c := range groupCols {
 		ci := in.colIdx(c.Table, c.Column)
 		if ci < 0 {
 			return nil, fmt.Errorf("exec: group column %s not found", c)
@@ -1329,7 +1333,7 @@ func (st *runState) aggregate(n *plan.Node) (*batch, error) {
 		}
 	}
 
-	cols := append([]query.ColRef{}, n.GroupCols...)
+	cols := append([]query.ColRef{}, groupCols...)
 	for i, a := range q.Aggs {
 		cols = append(cols, query.ColRef{Table: "", Column: fmt.Sprintf("#agg%d:%s", i, a.String())})
 	}

@@ -70,11 +70,11 @@ func TestMultiPredicateJoinRowCounts(t *testing.T) {
 	scanD := &plan.Node{Op: plan.TableScan, Table: "dim"}
 	jp := &q.Joins[0]
 	extras := []query.Join{q.Joins[1]}
-	merge := &plan.Node{Op: plan.MergeJoin, Join: jp, ExtraJoins: extras, Children: []*plan.Node{
-		{Op: plan.Sort, SortCols: []query.ColRef{{Table: "fact", Column: "f_dim"}}, Children: []*plan.Node{scanF}},
-		{Op: plan.Sort, SortCols: []query.ColRef{{Table: "dim", Column: "d_id"}}, Children: []*plan.Node{scanD}},
+	merge := &plan.Node{Op: plan.MergeJoin, Join: jp, Ann: &plan.Annotations{ExtraJoins: extras}, Children: []*plan.Node{
+		{Op: plan.Sort, Ann: &plan.Annotations{SortCols: []query.ColRef{{Table: "fact", Column: "f_dim"}}}, Children: []*plan.Node{scanF}},
+		{Op: plan.Sort, Ann: &plan.Annotations{SortCols: []query.ColRef{{Table: "dim", Column: "d_id"}}}, Children: []*plan.Node{scanD}},
 	}}
-	nlj := &plan.Node{Op: plan.NestedLoopJoin, Join: jp, ExtraJoins: extras, Children: []*plan.Node{scanF, scanD}}
+	nlj := &plan.Node{Op: plan.NestedLoopJoin, Join: jp, Ann: &plan.Annotations{ExtraJoins: extras}, Children: []*plan.Node{scanF, scanD}}
 	plans = append(plans,
 		&plan.Plan{Root: merge, Query: q},
 		&plan.Plan{Root: nlj, Query: q},
@@ -118,7 +118,7 @@ func TestMultiPredicateINLJCounters(t *testing.T) {
 	}
 	var inlj *plan.Node
 	p.Root.Walk(func(n *plan.Node) {
-		if n.Op == plan.NestedLoopJoin && len(n.ExtraJoins) > 0 {
+		if n.Op == plan.NestedLoopJoin && len(n.ExtraJoins()) > 0 {
 			inlj = n
 		}
 	})

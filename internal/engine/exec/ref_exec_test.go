@@ -199,7 +199,7 @@ func refIndexMeta(n *plan.Node, db *data.Database) (*catalog.Index, error) {
 		return nil, fmt.Errorf("exec: node %s has no index definition", n.KeyName())
 	}
 	if db.Table(n.IndexDef.Table) == nil {
-		return nil, fmt.Errorf("exec: index %q on missing table", n.Index)
+		return nil, fmt.Errorf("exec: index %q on missing table", n.Index())
 	}
 	return n.IndexDef, nil
 }
@@ -313,7 +313,7 @@ func (st *refRunState) indexSeek(n *plan.Node) (*refRel, error) {
 		return nil, err
 	}
 	tb := st.e.DB.Table(n.Table)
-	lo, hi := refSeekBounds(ix, n.SeekPreds)
+	lo, hi := refSeekBounds(ix, n.SeekPreds())
 	rows, cols, fetched, err := st.scanIndexRange(ix, tb, lo, hi, n.ResidualPreds)
 	if err != nil {
 		return nil, err
@@ -404,13 +404,13 @@ func refRelBytes(r *refRel) float64 {
 // executor: a predicate over (left row, right row) applying every extra
 // join predicate of the node, or nil when there are none.
 func refExtraJoinPairs(n *plan.Node, left, right *refRel) (func(l, r []int64) bool, error) {
-	if len(n.ExtraJoins) == 0 {
+	if len(n.ExtraJoins()) == 0 {
 		return nil, nil
 	}
 	type pair struct{ li, ri int }
-	ps := make([]pair, 0, len(n.ExtraJoins))
-	for i := range n.ExtraJoins {
-		je := &n.ExtraJoins[i]
+	ps := make([]pair, 0, len(n.ExtraJoins()))
+	for i := range n.ExtraJoins() {
+		je := &n.ExtraJoins()[i]
 		l := left.colIdx(je.LeftTable, je.LeftColumn)
 		r := right.colIdx(je.RightTable, je.RightColumn)
 		if l < 0 {
@@ -541,7 +541,7 @@ func (st *refRunState) mergeJoin(n *plan.Node) (*refRel, error) {
 }
 
 func refFindInnerSeek(n *plan.Node) []*plan.Node {
-	if n.Op == plan.IndexSeek && len(n.SeekPreds) == 0 {
+	if n.Op == plan.IndexSeek && len(n.SeekPreds()) == 0 {
 		return []*plan.Node{n}
 	}
 	if n.Op != plan.Filter && n.Op != plan.KeyLookup {
@@ -662,8 +662,8 @@ func (st *refRunState) indexNLJ(n *plan.Node, outer *refRel, innerPath []*plan.N
 		iv []int64 // inner table column, indexed by rid
 	}
 	var extras []refInljExtra
-	for i := range n.ExtraJoins {
-		je := &n.ExtraJoins[i]
+	for i := range n.ExtraJoins() {
+		je := &n.ExtraJoins()[i]
 		icol := je.ColumnFor(seekNode.Table)
 		if icol == "" {
 			return nil, fmt.Errorf("exec: extra join %s does not touch inner table %s", je, seekNode.Table)
@@ -755,14 +755,14 @@ func (st *refRunState) sortOp(n *plan.Node) (*refRel, error) {
 	if err != nil {
 		return nil, err
 	}
-	idxs := make([]int, len(n.SortCols))
-	for i, c := range n.SortCols {
+	idxs := make([]int, len(n.SortCols()))
+	for i, c := range n.SortCols() {
 		idxs[i] = in.colIdx(c.Table, c.Column)
 		if idxs[i] < 0 {
 			return nil, fmt.Errorf("exec: sort column %s not found", c)
 		}
 	}
-	desc := st.q != nil && st.q.Desc && sameColRefs(n.SortCols, st.q.OrderBy)
+	desc := st.q != nil && st.q.Desc && sameColRefs(n.SortCols(), st.q.OrderBy)
 	rows := append([][]int64(nil), in.rows...)
 	sort.SliceStable(rows, func(a, b int) bool {
 		for _, i := range idxs {
@@ -785,8 +785,8 @@ func (st *refRunState) topOp(n *plan.Node) (*refRel, error) {
 		return nil, err
 	}
 	rows := in.rows
-	if n.TopN > 0 && len(rows) > n.TopN {
-		rows = rows[:n.TopN]
+	if n.TopN() > 0 && len(rows) > n.TopN() {
+		rows = rows[:n.TopN()]
 	}
 	st.charge(n, cost.Args{RowsIn: float64(len(in.rows)), RowsOut: float64(len(rows))})
 	return &refRel{cols: in.cols, rows: rows}, nil
@@ -798,8 +798,8 @@ func (st *refRunState) aggregate(n *plan.Node) (*refRel, error) {
 		return nil, err
 	}
 	q := st.q
-	gIdxs := make([]int, len(n.GroupCols))
-	for i, c := range n.GroupCols {
+	gIdxs := make([]int, len(n.GroupCols()))
+	for i, c := range n.GroupCols() {
 		gIdxs[i] = in.colIdx(c.Table, c.Column)
 		if gIdxs[i] < 0 {
 			return nil, fmt.Errorf("exec: group column %s not found", c)
@@ -868,7 +868,7 @@ func (st *refRunState) aggregate(n *plan.Node) (*refRel, error) {
 		g.seen = true
 	}
 
-	cols := append([]query.ColRef{}, n.GroupCols...)
+	cols := append([]query.ColRef{}, n.GroupCols()...)
 	for i, a := range q.Aggs {
 		cols = append(cols, query.ColRef{Table: "", Column: fmt.Sprintf("#agg%d:%s", i, a.String())})
 	}

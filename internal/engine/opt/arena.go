@@ -4,13 +4,13 @@ import "repro/internal/engine/plan"
 
 // Planning allocates many short-lived objects per Optimize call: plan
 // nodes for every candidate access path and for the returned plan's joins,
-// aggregation and parallel alternative, child slices, and subPlan headers
-// (one join recipe per DP table set). Join alternatives themselves are
-// costed without nodes (planner.bestJoin). All of these die when the
-// winning plan is cloned out at the plan boundary, so the planner carves
-// them out of chunked arenas owned by the (pooled) planner and resets the
-// arenas between calls instead of paying the allocator and the garbage
-// collector per object.
+// aggregation and parallel alternative, their annotation blocks, child
+// slices, and subPlan headers (one join recipe per DP table set). Join
+// alternatives themselves are costed without nodes (planner.bestJoin). All
+// of these die when the winning plan is cloned out at the plan boundary, so
+// the planner carves them out of chunked arenas owned by the (pooled)
+// planner and resets the arenas between calls instead of paying the
+// allocator and the garbage collector per object.
 //
 // Chunking (rather than one growable slice) keeps every handed-out pointer
 // stable: appending a new chunk never moves previously allocated objects,
@@ -23,31 +23,31 @@ import "repro/internal/engine/plan"
 //   - the returned plan is the only thing that outlives the call: it is
 //     cloned *out* into compact, exactly-sized heap slabs (cloneOut).
 const (
-	nodeChunkSize  = 64
+	chunkSize      = 64
 	childChunkSize = 256
-	subChunkSize   = 64
 )
 
-// nodeArena hands out pointer-stable plan.Node slots.
-type nodeArena struct {
-	chunks [][]plan.Node
+// arena hands out pointer-stable slots of T, set to the value given.
+type arena[T any] struct {
+	chunks [][]T
 	ci, n  int // current chunk index, offset within it
 }
 
-func (a *nodeArena) alloc() *plan.Node {
+func (a *arena[T]) alloc(v T) *T {
 	if a.ci == len(a.chunks) {
-		a.chunks = append(a.chunks, make([]plan.Node, nodeChunkSize))
+		a.chunks = append(a.chunks, make([]T, chunkSize))
 	}
-	nd := &a.chunks[a.ci][a.n]
+	p := &a.chunks[a.ci][a.n]
 	a.n++
-	if a.n == nodeChunkSize {
+	if a.n == chunkSize {
 		a.ci++
 		a.n = 0
 	}
-	return nd
+	*p = v
+	return p
 }
 
-func (a *nodeArena) reset() { a.ci, a.n = 0, 0 }
+func (a *arena[T]) reset() { a.ci, a.n = 0, 0 }
 
 // childArena is a bump allocator for Children slices.
 type childArena struct {
@@ -77,25 +77,3 @@ func (a *childArena) alloc(k int) []*plan.Node {
 }
 
 func (a *childArena) reset() { a.ci, a.n = 0, 0 }
-
-// subArena hands out pointer-stable subPlan slots.
-type subArena struct {
-	chunks [][]subPlan
-	ci, n  int
-}
-
-func (a *subArena) alloc(sp subPlan) *subPlan {
-	if a.ci == len(a.chunks) {
-		a.chunks = append(a.chunks, make([]subPlan, subChunkSize))
-	}
-	p := &a.chunks[a.ci][a.n]
-	a.n++
-	if a.n == subChunkSize {
-		a.ci++
-		a.n = 0
-	}
-	*p = sp
-	return p
-}
-
-func (a *subArena) reset() { a.ci, a.n = 0, 0 }

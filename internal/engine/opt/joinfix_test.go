@@ -27,7 +27,7 @@ func planJoins(p *plan.Plan) []query.Join {
 			if n.Join != nil {
 				out = append(out, *n.Join)
 			}
-			out = append(out, n.ExtraJoins...)
+			out = append(out, n.ExtraJoins()...)
 		}
 	})
 	return out
@@ -306,18 +306,67 @@ type planSnapshot struct {
 	fp   uint64
 	cost uint64
 	ptrs map[*plan.Node]bool
+	anns map[*plan.Annotations]bool
 }
 
 func snapshotPlan(p *plan.Plan) planSnapshot {
-	s := planSnapshot{str: p.String(), fp: p.Fingerprint(), cost: math.Float64bits(p.EstTotalCost), ptrs: map[*plan.Node]bool{}}
-	p.Root.Walk(func(n *plan.Node) { s.ptrs[n] = true })
+	s := planSnapshot{str: p.String(), fp: p.Fingerprint(), cost: math.Float64bits(p.EstTotalCost),
+		ptrs: map[*plan.Node]bool{}, anns: map[*plan.Annotations]bool{}}
+	p.Root.Walk(func(n *plan.Node) {
+		s.ptrs[n] = true
+		if n.Ann != nil {
+			s.anns[n.Ann] = true
+		}
+	})
 	return s
 }
 
-// TestPlansNeverAliasPlannerMemory: returned plans must not share nodes
-// with pooled planner arenas or with each other. Re-planning the whole
-// suite many times (which recycles every arena) must leave earlier plans
-// untouched.
+// shares reports whether p holds a node or an annotation block of s.
+func (s planSnapshot) shares(p *plan.Plan) bool {
+	found := false
+	p.Root.Walk(func(n *plan.Node) {
+		if s.ptrs[n] || (n.Ann != nil && s.anns[n.Ann]) {
+			found = true
+		}
+	})
+	return found
+}
+
+// inArena reports whether x is a slot of a.
+func inArena[T any](a *arena[T], x *T) bool {
+	for _, c := range a.chunks {
+		for i := range c {
+			if &c[i] == x {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// optimizeOutsideArenas is o.Optimize(q, cfg), and fails t when the
+// returned plan keeps a node or an annotation block in the arenas of the
+// planner that made it.
+func optimizeOutsideArenas(t *testing.T, o *Optimizer, q *query.Query, cfg *catalog.Configuration) (*plan.Plan, error) {
+	t.Helper()
+	return o.optimizeWith(q, cfg, func(p *planner) (*plan.Plan, error) {
+		pl, err := p.optimize()
+		if err != nil {
+			return nil, err
+		}
+		pl.Root.Walk(func(n *plan.Node) {
+			if inArena(&p.nodes, n) || (n.Ann != nil && inArena(&p.anns, n.Ann)) {
+				t.Fatalf("%s: returned plan keeps a %s node or its annotation block in the planner's arenas", q.Name, n.KeyName())
+			}
+		})
+		return pl, nil
+	})
+}
+
+// TestPlansNeverAliasPlannerMemory: returned plans must not share nodes or
+// annotation blocks with pooled planner arenas or with each other.
+// Re-planning the whole suite many times (which recycles every arena) must
+// leave earlier plans untouched.
 func TestPlansNeverAliasPlannerMemory(t *testing.T) {
 	s, _, ds := buildEnv(t)
 	o := New(s, ds)
@@ -325,18 +374,21 @@ func TestPlansNeverAliasPlannerMemory(t *testing.T) {
 
 	q0 := joinQuery()
 	cfg0 := catalog.NewConfiguration(&catalog.Index{Table: "fact", KeyColumns: []string{"f_dim"}, IncludedColumns: []string{"f_val"}})
-	first, err := o.Optimize(q0, cfg0)
+	first, err := optimizeOutsideArenas(t, o, q0, cfg0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	snap := snapshotPlan(first)
+	if len(snap.anns) == 0 {
+		t.Fatalf("the first plan carries no annotation block to check:\n%s", first)
+	}
 
 	// Churn the planner pool and the arenas.
 	var later []*plan.Plan
 	for round := 0; round < 10; round++ {
 		for _, q := range qs {
 			for _, cfg := range cfgs {
-				p, err := o.Optimize(q, cfg)
+				p, err := optimizeOutsideArenas(t, o, q, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -353,17 +405,13 @@ func TestPlansNeverAliasPlannerMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	second.Root.Walk(func(n *plan.Node) {
-		if snap.ptrs[n] {
-			t.Fatalf("replanned plan aliases a node of an earlier plan: %s", n.KeyName())
-		}
-	})
+	if snap.shares(second) {
+		t.Fatal("replanned plan aliases a node or annotation block of an earlier plan")
+	}
 	for _, p := range later {
-		p.Root.Walk(func(n *plan.Node) {
-			if snap.ptrs[n] {
-				t.Fatal("later plan aliases a node of an earlier plan")
-			}
-		})
+		if snap.shares(p) {
+			t.Fatal("later plan aliases a node or annotation block of an earlier plan")
+		}
 	}
 }
 
@@ -401,12 +449,13 @@ func TestOptimizeWarmAllocBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		// Warm planning clones the result tree out of the arenas (2 slabs +
-		// the Plan struct). Merge-join sort keys are built once per query
-		// and shared by plan nodes; join selectivities and per-table values
-		// are read once per call into reused planner scratch. What remains
-		// are small slices the plan's nodes keep (residual splits, extra
-		// join predicates), none of them per DP split on these queries.
+		// Warm planning clones the result tree out of the arenas (2 slabs,
+		// a third when a node carries annotations, and the Plan struct).
+		// Merge-join sort keys are built once per query and shared by plan
+		// nodes; join selectivities and per-table values are read once per
+		// call into reused planner scratch. What remains are small slices
+		// the plan's nodes keep (residual splits, extra join predicates),
+		// none of them per DP split on these queries.
 		const budget = 12
 		if allocs > budget {
 			t.Fatalf("%s: warm Optimize allocated %.1f times per run, budget %d", c.name, allocs, budget)

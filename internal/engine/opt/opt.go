@@ -315,9 +315,10 @@ type planner struct {
 	qi  *queryInfo
 	cfg *catalog.Configuration
 
-	nodes nodeArena
+	nodes arena[plan.Node]
+	anns  arena[plan.Annotations]
 	kids  childArena
-	subs  subArena
+	subs  arena[subPlan]
 	// args holds the cost.Args of every arena node, indexed by
 	// plan.Node.Scratch; parallelize/cloneRecost recost from it.
 	args []cost.Args
@@ -428,6 +429,7 @@ func (p *planner) probeValOf(table string, ix *catalog.Index, preds []query.Pred
 
 func (o *Optimizer) putPlanner(p *planner) {
 	p.nodes.reset()
+	p.anns.reset()
 	p.kids.reset()
 	p.subs.reset()
 	p.args = p.args[:0]
@@ -438,11 +440,20 @@ func (o *Optimizer) putPlanner(p *planner) {
 
 // node copies n into an arena slot and assigns it a fresh args index.
 func (p *planner) node(n plan.Node) *plan.Node {
-	nd := p.nodes.alloc()
-	*nd = n
+	nd := p.nodes.alloc(n)
 	nd.Scratch = int32(len(p.args))
 	p.args = append(p.args, cost.Args{})
 	return nd
+}
+
+// ann copies a into an arena block for a node to point at, or returns nil
+// when a carries nothing: a node holds a block only when it has an
+// annotation.
+func (p *planner) ann(a plan.Annotations) *plan.Annotations {
+	if a.Empty() {
+		return nil
+	}
+	return p.anns.alloc(a)
 }
 
 func (p *planner) child1(a *plan.Node) []*plan.Node {
@@ -462,6 +473,12 @@ func (p *planner) sub(sp subPlan) *subPlan { return p.subs.alloc(sp) }
 // Optimize produces the physical plan for q under configuration cfg. cfg
 // may contain hypothetical indexes: only statistics are consulted.
 func (o *Optimizer) Optimize(q *query.Query, cfg *catalog.Configuration) (*plan.Plan, error) {
+	return o.optimizeWith(q, cfg, (*planner).optimize)
+}
+
+// optimizeWith is Optimize with run in place of planner.optimize, so tests
+// can inspect the planner's arenas before they are recycled.
+func (o *Optimizer) optimizeWith(q *query.Query, cfg *catalog.Configuration, run func(*planner) (*plan.Plan, error)) (*plan.Plan, error) {
 	qi := o.queryInfo(q)
 	if qi.err != nil {
 		return nil, qi.err
@@ -470,7 +487,7 @@ func (o *Optimizer) Optimize(q *query.Query, cfg *catalog.Configuration) (*plan.
 		cfg = emptyConfig
 	}
 	p := o.getPlanner(q, qi, cfg)
-	pl, err := p.optimize()
+	pl, err := run(p)
 	o.putPlanner(p)
 	return pl, err
 }
@@ -618,7 +635,7 @@ func (p *planner) tableScanPath(table string, meta *catalog.Table, rows float64,
 }
 
 func (p *planner) columnstorePath(table string, ix *catalog.Index, rows float64, preds []query.Pred, outRows, needW float64, mask uint64) *subPlan {
-	n := p.node(plan.Node{Op: plan.ColumnstoreScan, Mode: plan.Batch, Table: table, Index: ix.ID(), IndexDef: ix, ResidualPreds: preds})
+	n := p.node(plan.Node{Op: plan.ColumnstoreScan, Mode: plan.Batch, Table: table, IndexDef: ix, ResidualPreds: preds})
 	c := p.annotate(n, cost.Args{
 		RowsIn: rows, RowsOut: outRows, Bytes: rows * needW / cost.ColumnstoreCompression,
 	}, needW)
@@ -692,7 +709,7 @@ func (p *planner) indexPath(table string, meta *catalog.Table, ix *catalog.Index
 			return nil // no seek and no covering benefit
 		}
 		// Covering ordered index scan: cheaper bytes than the heap scan.
-		n := p.node(plan.Node{Op: plan.IndexScan, Table: table, Index: ix.ID(), IndexDef: ix, ResidualPreds: preds})
+		n := p.node(plan.Node{Op: plan.IndexScan, Table: table, IndexDef: ix, ResidualPreds: preds})
 		c := p.annotate(n, cost.Args{RowsIn: rows, RowsOut: outRows, Bytes: rows * idxW}, needW)
 		return p.sub(subPlan{node: n, tables: mask, rows: outRows, width: needW, cost: c})
 	}
@@ -710,7 +727,7 @@ func (p *planner) indexPath(table string, meta *catalog.Table, ix *catalog.Index
 		}
 	}
 	seekOut := fetched * p.selAll(covRes)
-	seek := p.node(plan.Node{Op: plan.IndexSeek, Table: table, Index: ix.ID(), IndexDef: ix, SeekPreds: seekPreds, ResidualPreds: covRes})
+	seek := p.node(plan.Node{Op: plan.IndexSeek, Table: table, IndexDef: ix, ResidualPreds: covRes, Ann: p.ann(plan.Annotations{SeekPreds: seekPreds})})
 	seekCost := p.annotate(seek, cost.Args{
 		Probes: 1, Height: estHeight(rows), RowsOut: seekOut, Bytes: fetched * idxW,
 	}, math.Min(idxW, needW))
@@ -882,7 +899,7 @@ func sortArgs(in *subPlan) cost.Args {
 
 // sortNode wraps a subplan in a Sort.
 func (p *planner) sortNode(in *subPlan, cols []query.ColRef) *subPlan {
-	n := p.node(plan.Node{Op: plan.Sort, Mode: modeOf(in.hasCS), SortCols: cols})
+	n := p.node(plan.Node{Op: plan.Sort, Mode: modeOf(in.hasCS), Ann: p.ann(plan.Annotations{SortCols: cols})})
 	n.Children = p.child1(in.node)
 	c := p.annotate(n, sortArgs(in), in.width)
 	return p.sub(subPlan{node: n, tables: in.tables, rows: in.rows, width: in.width, cost: in.cost + c, hasCS: in.hasCS})
@@ -972,7 +989,7 @@ func (p *planner) build(sp *subPlan) *plan.Node {
 		r = p.build(sp.right)
 	}
 	op, mode := joinOp(sp.alg, sp.hasCS)
-	n := p.node(plan.Node{Op: op, Mode: mode, Join: p.qi.joins[sp.join].ptr, ExtraJoins: p.extraJoins(sp)})
+	n := p.node(plan.Node{Op: op, Mode: mode, Join: p.qi.joins[sp.join].ptr, Ann: p.ann(plan.Annotations{ExtraJoins: p.extraJoins(sp)})})
 	n.Children = p.child2(l, r)
 	p.annotate(n, joinArgs(sp.alg, sp.left, sp.right, sp.rows), sp.width)
 	sp.node = n
@@ -1012,7 +1029,7 @@ func (p *planner) buildProbe(sp *subPlan) *plan.Node {
 		}
 	}
 	seekArgs, lookupArgs, filterArgs := probeArgs(sp.left, tv, pv, p.jsel[sp.join])
-	seek := p.node(plan.Node{Op: plan.IndexSeek, Table: table, Index: ix.ID(), IndexDef: ix, ResidualPreds: covRes})
+	seek := p.node(plan.Node{Op: plan.IndexSeek, Table: table, IndexDef: ix, ResidualPreds: covRes})
 	p.annotate(seek, seekArgs, math.Min(pv.width, tv.needW))
 	if pv.covers {
 		return seek
@@ -1137,7 +1154,7 @@ func (p *planner) addAggregation(in *subPlan) *subPlan {
 	groups := p.estGroups(in.rows)
 	outW := in.width // close enough for group rows
 
-	hash := p.node(plan.Node{Op: plan.HashAggregate, Mode: modeOf(in.hasCS), GroupCols: p.q.GroupBy})
+	hash := p.node(plan.Node{Op: plan.HashAggregate, Mode: modeOf(in.hasCS), Ann: p.ann(plan.Annotations{GroupCols: p.q.GroupBy})})
 	hash.Children = p.child1(in.node)
 	hc := p.annotate(hash, cost.Args{RowsIn: in.rows, RowsOut: groups, Bytes: in.rows * in.width}, outW)
 	hashSP := p.sub(subPlan{node: hash, tables: in.tables, rows: groups, width: outW, cost: in.cost + hc, hasCS: in.hasCS})
@@ -1146,7 +1163,7 @@ func (p *planner) addAggregation(in *subPlan) *subPlan {
 		return hashSP // scalar aggregate: stream/hash equivalent; use hash
 	}
 	sorted := p.sortNode(in, p.q.GroupBy)
-	stream := p.node(plan.Node{Op: plan.StreamAggregate, GroupCols: p.q.GroupBy})
+	stream := p.node(plan.Node{Op: plan.StreamAggregate, Ann: p.ann(plan.Annotations{GroupCols: p.q.GroupBy})})
 	stream.Children = p.child1(sorted.node)
 	sc := p.annotate(stream, cost.Args{RowsIn: in.rows, RowsOut: groups, Bytes: in.rows * in.width}, outW)
 	streamSP := p.sub(subPlan{node: stream, tables: in.tables, rows: groups, width: outW, cost: sorted.cost + sc, hasCS: in.hasCS})
@@ -1196,7 +1213,7 @@ func (p *planner) addOrdering(in *subPlan) *subPlan {
 	}
 	if p.q.Limit > 0 {
 		outRows := math.Min(float64(p.q.Limit), out.rows)
-		n := p.node(plan.Node{Op: plan.Top, TopN: p.q.Limit})
+		n := p.node(plan.Node{Op: plan.Top, Ann: p.ann(plan.Annotations{TopN: p.q.Limit})})
 		n.Children = p.child1(out.node)
 		c := p.annotate(n, cost.Args{RowsIn: out.rows, RowsOut: outRows}, out.width)
 		out = p.sub(subPlan{node: n, tables: out.tables, rows: outRows, width: out.width, cost: out.cost + c, hasCS: out.hasCS})
@@ -1253,33 +1270,45 @@ func (p *planner) cloneRecost(n *plan.Node, par plan.Parallelism) (*plan.Node, f
 	return c, total + c.EstCost
 }
 
-// countNodes returns the node and child-slot counts of a subtree.
-func countNodes(n *plan.Node) (nodes, kids int) {
+// countNodes returns the node, child-slot and annotation-block counts of a
+// subtree.
+func countNodes(n *plan.Node) (nodes, kids, anns int) {
 	nodes = 1
 	kids = len(n.Children)
+	if n.Ann != nil {
+		anns = 1
+	}
 	for _, c := range n.Children {
-		cn, ck := countNodes(c)
+		cn, ck, ca := countNodes(c)
 		nodes += cn
 		kids += ck
+		anns += ca
 	}
 	return
 }
 
-// cloneOut copies a subtree out of the planner's arenas into two compact,
-// exactly-sized heap slabs (one for nodes, one for child pointers), so the
-// result owns no arena memory and survives planner recycling. Scratch is
-// zeroed on every clone.
+// cloneOut copies a subtree out of the planner's arenas into compact,
+// exactly-sized heap slabs (one for nodes, one for child pointers and, when
+// some node carries annotations, one for annotation blocks), so the result
+// owns no arena memory and survives planner recycling. Scratch is zeroed on
+// every clone.
 func cloneOut(root *plan.Node) *plan.Node {
-	nn, nk := countNodes(root)
+	nn, nk, na := countNodes(root)
 	nodes := make([]plan.Node, nn)
 	kidSlab := make([]*plan.Node, nk)
-	ni, ki := 0, 0
+	annSlab := make([]plan.Annotations, na) // allocates nothing when na is 0
+	ni, ki, ai := 0, 0, 0
 	var walk func(n *plan.Node) *plan.Node
 	walk = func(n *plan.Node) *plan.Node {
 		nd := &nodes[ni]
 		ni++
 		*nd = *n
 		nd.Scratch = 0
+		if n.Ann != nil {
+			annSlab[ai] = *n.Ann
+			nd.Ann = &annSlab[ai]
+			ai++
+		}
 		if len(n.Children) > 0 {
 			cs := kidSlab[ki : ki+len(n.Children) : ki+len(n.Children)]
 			ki += len(n.Children)

@@ -156,7 +156,7 @@ func (p *refPlanner) bestAccessPath(table string) *refSubPlan {
 	}
 	for _, ix := range p.cfg.IndexesOn(table) {
 		if ix.Kind == catalog.Columnstore {
-			n := &plan.Node{Op: plan.ColumnstoreScan, Mode: plan.Batch, Table: table, Index: ix.ID(), IndexDef: ix, ResidualPreds: preds}
+			n := &plan.Node{Op: plan.ColumnstoreScan, Mode: plan.Batch, Table: table, IndexDef: ix, ResidualPreds: preds}
 			c := p.annotate(n, cost.Args{
 				RowsIn: rows, RowsOut: outRows, Bytes: rows * needW / cost.ColumnstoreCompression,
 			}, needW)
@@ -185,7 +185,7 @@ func (p *refPlanner) indexPath(table string, meta *catalog.Table, ix *catalog.In
 		if !covering || idxW >= float64(meta.RowWidth()) {
 			return nil
 		}
-		n := &plan.Node{Op: plan.IndexScan, Table: table, Index: ix.ID(), IndexDef: ix, ResidualPreds: preds}
+		n := &plan.Node{Op: plan.IndexScan, Table: table, IndexDef: ix, ResidualPreds: preds}
 		c := p.annotate(n, cost.Args{RowsIn: rows, RowsOut: outRows, Bytes: rows * idxW}, needW)
 		return &refSubPlan{node: n, tables: mask, rows: outRows, width: needW, cost: c}
 	}
@@ -201,7 +201,7 @@ func (p *refPlanner) indexPath(table string, meta *catalog.Table, ix *catalog.In
 		}
 	}
 	seekOut := fetched * p.selAll(covRes)
-	seek := &plan.Node{Op: plan.IndexSeek, Table: table, Index: ix.ID(), IndexDef: ix, SeekPreds: seekPreds, ResidualPreds: covRes}
+	seek := &plan.Node{Op: plan.IndexSeek, Table: table, IndexDef: ix, ResidualPreds: covRes, Ann: &plan.Annotations{SeekPreds: seekPreds}}
 	seekCost := p.annotate(seek, cost.Args{
 		Probes: 1, Height: estHeight(rows), RowsOut: seekOut, Bytes: fetched * idxW,
 	}, math.Min(idxW, needW))
@@ -283,7 +283,7 @@ func (p *refPlanner) bestJoin(a, b *refSubPlan) *refSubPlan {
 		if build.rows > probe.rows {
 			probe, build = build, probe
 		}
-		n := &plan.Node{Op: plan.HashJoin, Mode: mode, Join: &j, ExtraJoins: extras,
+		n := &plan.Node{Op: plan.HashJoin, Mode: mode, Join: &j, Ann: &plan.Annotations{ExtraJoins: extras},
 			Children: []*plan.Node{probe.node, build.node}}
 		c := p.annotate(n, cost.Args{
 			RowsIn: probe.rows, RowsIn2: build.rows, RowsOut: outRows,
@@ -300,7 +300,7 @@ func (p *refPlanner) bestJoin(a, b *refSubPlan) *refSubPlan {
 		}
 		sortA := p.sortNode(a, []query.ColRef{colA})
 		sortB := p.sortNode(b, []query.ColRef{colB})
-		n := &plan.Node{Op: plan.MergeJoin, Mode: mode, Join: &j, ExtraJoins: extras,
+		n := &plan.Node{Op: plan.MergeJoin, Mode: mode, Join: &j, Ann: &plan.Annotations{ExtraJoins: extras},
 			Children: []*plan.Node{sortA.node, sortB.node}}
 		c := p.annotate(n, cost.Args{
 			RowsIn: a.rows, RowsIn2: b.rows, RowsOut: outRows,
@@ -318,7 +318,7 @@ func (p *refPlanner) bestJoin(a, b *refSubPlan) *refSubPlan {
 			outer, inner = inner, outer
 		}
 		if inner.rows <= 1000 {
-			n := &plan.Node{Op: plan.NestedLoopJoin, Join: &j, ExtraJoins: extras,
+			n := &plan.Node{Op: plan.NestedLoopJoin, Join: &j, Ann: &plan.Annotations{ExtraJoins: extras},
 				Children: []*plan.Node{outer.node, inner.node}}
 			c := p.annotate(n, cost.Args{
 				RowsIn: outer.rows, RowsIn2: inner.rows, RowsOut: outRows,
@@ -335,7 +335,7 @@ func (p *refPlanner) sortNode(in *refSubPlan, cols []query.ColRef) *refSubPlan {
 	if in.hasCS {
 		mode = plan.Batch
 	}
-	n := &plan.Node{Op: plan.Sort, Mode: mode, SortCols: cols, Children: []*plan.Node{in.node}}
+	n := &plan.Node{Op: plan.Sort, Mode: mode, Ann: &plan.Annotations{SortCols: cols}, Children: []*plan.Node{in.node}}
 	c := p.annotate(n, cost.Args{RowsIn: in.rows, RowsOut: in.rows, Bytes: in.rows * in.width}, in.width)
 	return &refSubPlan{node: n, tables: in.tables, rows: in.rows, width: in.width, cost: in.cost + c, hasCS: in.hasCS}
 }
@@ -398,7 +398,7 @@ func (p *refPlanner) indexNLJ(outer, inner *refSubPlan, joins []query.Join, outR
 		idxW := p.widthOf(table, ix.KeyColumns) + p.widthOf(table, ix.IncludedColumns) + 8
 		seekOut := fetched * p.selAll(covRes)
 
-		seek := &plan.Node{Op: plan.IndexSeek, Table: table, Index: ix.ID(), IndexDef: ix, ResidualPreds: covRes}
+		seek := &plan.Node{Op: plan.IndexSeek, Table: table, IndexDef: ix, ResidualPreds: covRes}
 		innerCost := p.annotate(seek, cost.Args{
 			Probes: outer.rows, Height: estHeight(rows), RowsOut: seekOut, Bytes: fetched * idxW,
 		}, math.Min(idxW, needW))
@@ -416,7 +416,7 @@ func (p *refPlanner) indexNLJ(outer, inner *refSubPlan, joins []query.Join, outR
 			}
 		}
 		jc := jp
-		n := &plan.Node{Op: plan.NestedLoopJoin, Mode: mode, Join: &jc, ExtraJoins: extras,
+		n := &plan.Node{Op: plan.NestedLoopJoin, Mode: mode, Join: &jc, Ann: &plan.Annotations{ExtraJoins: extras},
 			Children: []*plan.Node{outer.node, innerTop}}
 		c := p.annotate(n, cost.Args{
 			RowsIn: outer.rows, RowsIn2: inner.rows, RowsOut: outRows,
@@ -507,7 +507,7 @@ func (p *refPlanner) addAggregation(in *refSubPlan) *refSubPlan {
 		mode = plan.Batch
 	}
 
-	hash := &plan.Node{Op: plan.HashAggregate, Mode: mode, GroupCols: p.q.GroupBy, Children: []*plan.Node{in.node}}
+	hash := &plan.Node{Op: plan.HashAggregate, Mode: mode, Ann: &plan.Annotations{GroupCols: p.q.GroupBy}, Children: []*plan.Node{in.node}}
 	hc := p.annotate(hash, cost.Args{RowsIn: in.rows, RowsOut: groups, Bytes: in.rows * in.width}, outW)
 	hashSP := &refSubPlan{node: hash, tables: in.tables, rows: groups, width: outW, cost: in.cost + hc, hasCS: in.hasCS}
 
@@ -515,7 +515,7 @@ func (p *refPlanner) addAggregation(in *refSubPlan) *refSubPlan {
 		return hashSP
 	}
 	sorted := p.sortNode(in, p.q.GroupBy)
-	stream := &plan.Node{Op: plan.StreamAggregate, GroupCols: p.q.GroupBy, Children: []*plan.Node{sorted.node}}
+	stream := &plan.Node{Op: plan.StreamAggregate, Ann: &plan.Annotations{GroupCols: p.q.GroupBy}, Children: []*plan.Node{sorted.node}}
 	sc := p.annotate(stream, cost.Args{RowsIn: in.rows, RowsOut: groups, Bytes: in.rows * in.width}, outW)
 	streamSP := &refSubPlan{node: stream, tables: in.tables, rows: groups, width: outW, cost: sorted.cost + sc, hasCS: in.hasCS}
 	if sameCols(p.q.GroupBy, p.q.OrderBy) {
@@ -555,7 +555,7 @@ func (p *refPlanner) addOrdering(in *refSubPlan) *refSubPlan {
 	}
 	if p.q.Limit > 0 {
 		outRows := math.Min(float64(p.q.Limit), out.rows)
-		n := &plan.Node{Op: plan.Top, TopN: p.q.Limit, Children: []*plan.Node{out.node}}
+		n := &plan.Node{Op: plan.Top, Ann: &plan.Annotations{TopN: p.q.Limit}, Children: []*plan.Node{out.node}}
 		c := p.annotate(n, cost.Args{RowsIn: out.rows, RowsOut: outRows}, out.width)
 		out = &refSubPlan{node: n, tables: out.tables, rows: outRows, width: out.width, cost: out.cost + c, hasCS: out.hasCS}
 	}
@@ -650,7 +650,9 @@ func refSuite() ([]*query.Query, []*catalog.Configuration) {
 }
 
 // comparePlans asserts two plans are bit-identical: same fingerprint, same
-// rendering, and float-bit-equal estimates on every node.
+// rendering, and float-bit-equal estimates on every node. It also checks
+// got's layout: a node points at an annotation block exactly when it
+// carries an annotation, and no two nodes share a block.
 func comparePlans(t *testing.T, label string, got, want *plan.Plan) {
 	t.Helper()
 	if got.Fingerprint() != want.Fingerprint() {
@@ -668,8 +670,18 @@ func comparePlans(t *testing.T, label string, got, want *plan.Plan) {
 	if len(gn) != len(wn) {
 		t.Fatalf("%s: node count %d vs %d", label, len(gn), len(wn))
 	}
+	blocks := map[*plan.Annotations]bool{}
 	for i := range gn {
 		g, w := gn[i], wn[i]
+		if (g.Ann != nil) != carriesAnnotation(g) {
+			t.Fatalf("%s: node %d (%s) has annotation block %v but carries an annotation: %v", label, i, g.KeyName(), g.Ann != nil, carriesAnnotation(g))
+		}
+		if g.Ann != nil {
+			if blocks[g.Ann] {
+				t.Fatalf("%s: node %d (%s) shares its annotation block with another node", label, i, g.KeyName())
+			}
+			blocks[g.Ann] = true
+		}
 		if math.Float64bits(g.EstRows) != math.Float64bits(w.EstRows) ||
 			math.Float64bits(g.EstRowWidth) != math.Float64bits(w.EstRowWidth) ||
 			math.Float64bits(g.EstBytesProcessed) != math.Float64bits(w.EstBytesProcessed) ||
@@ -761,7 +773,8 @@ func TestPlannerMatchesReferenceOnChain(t *testing.T) {
 
 // TestPlannerMatchesReferenceOnTPC extends the comparison to TPC-H, TPC-DS
 // and cust9 under no index and under each of every query's candidates
-// alone. Unlike refSuite and the chain, these plans pick merge joins over
+// alone, and checks that no returned plan keeps a node or an annotation
+// block in the arenas of the planner that made it. Unlike refSuite and the chain, these plans pick merge joins over
 // multi-table inputs, so the merge join's costing and build, including its
 // sort keys when the driving join's left table is on the right input (only
 // TPC-DS has those), decide plans the comparison checks; the test asserts
@@ -786,7 +799,7 @@ func TestPlannerMatchesReferenceOnTPC(t *testing.T) {
 			}
 			for _, cfg := range cfgs {
 				want, errW := refOptimize(ref, q, cfg)
-				got, errG := live.Optimize(q, cfg)
+				got, errG := optimizeOutsideArenas(t, live, q, cfg)
 				if (errW == nil) != (errG == nil) {
 					t.Fatalf("%s %s/%q: error mismatch: live=%v ref=%v", w.Name, q.Name, fpOf(cfg), errG, errW)
 				}
@@ -833,6 +846,13 @@ func hasMultiTableMerge(n *plan.Node) bool {
 		}
 	})
 	return found
+}
+
+// carriesAnnotation reports whether n carries any annotation that lives
+// out of line.
+func carriesAnnotation(n *plan.Node) bool {
+	return len(n.SeekPreds()) > 0 || len(n.ExtraJoins()) > 0 || len(n.SortCols()) > 0 ||
+		len(n.GroupCols()) > 0 || n.TopN() != 0
 }
 
 func fpOf(cfg *catalog.Configuration) string {

@@ -2,6 +2,14 @@
 // annotated with the optimizer's estimates. The fixed operator key space
 // (Operator)_(ExecutionMode)_(Parallelism) is the feature dimensionality
 // the paper's classifier is built on (§3.2).
+//
+// The what-if cache keeps every plan the tuner probes, so a Node holds
+// inline only what most operators carry: the operator key, children, table,
+// index definition, residual predicates, driving join and estimates. The
+// annotations only seeks, multi-predicate joins, sorts, aggregates and Top
+// carry (SeekPreds, ExtraJoins, SortCols, GroupCols, TopN) live in an
+// Annotations block that the few nodes carrying one point at, and the index
+// id is derived from the index definition rather than stored.
 package plan
 
 import (
@@ -16,7 +24,7 @@ import (
 // Op enumerates the physical operators the engine supports. The set is
 // fixed and known in advance, like SQL Server's, which keeps feature
 // vectors at a fixed dimensionality.
-type Op int
+type Op uint8
 
 // Physical operators.
 const (
@@ -55,7 +63,7 @@ func (o Op) String() string {
 }
 
 // Mode is the execution mode of an operator.
-type Mode int
+type Mode uint8
 
 // Execution modes.
 const (
@@ -72,7 +80,7 @@ func (m Mode) String() string {
 }
 
 // Parallelism is the threading mode of an operator.
-type Parallelism int
+type Parallelism uint8
 
 // Parallelism modes.
 const (
@@ -107,41 +115,40 @@ func KeyName(idx int) string {
 	return fmt.Sprintf("%s_%s_%s", o, m, p)
 }
 
-// Node is one operator in a physical plan tree.
+// Node is one operator in a physical plan tree. Its fields are laid out
+// for size (144 bytes on 64-bit platforms): the one-byte operator key sits
+// beside Scratch, and the rare annotations live out of line in Ann.
 type Node struct {
-	Op       Op
-	Mode     Mode
-	Par      Parallelism
+	Op   Op
+	Mode Mode
+	Par  Parallelism
+
+	// Scratch is free for the plan's producer while the node is being
+	// built (the optimizer indexes per-node cost arguments with it). It
+	// carries no plan semantics: it is excluded from Fingerprint and
+	// String and is zeroed on finished plans.
+	Scratch int32
+
 	Children []*Node
 
 	// Access-path annotations.
 	Table string // base table (scans, seeks, lookups)
-	Index string // index id (seeks, index scans, columnstore scans)
-	// IndexDef is the index definition behind Index, carried so the
-	// executor can build/reuse the physical structure. It is nil for
-	// operators that touch no index.
+	// IndexDef is the index a seek, index scan or columnstore scan reads,
+	// carried so the executor can build/reuse the physical structure. It
+	// is nil for operators that touch no index.
 	IndexDef *catalog.Index
 
-	// SeekPreds are the predicates satisfied by the index key traversal;
-	// ResidualPreds are evaluated on the fly afterwards.
-	SeekPreds     []query.Pred
+	// ResidualPreds are evaluated on the fly after the access path (or
+	// filter) produces its rows.
 	ResidualPreds []query.Pred
 
 	// Join annotation (join operators).
 	Join *query.Join
-	// ExtraJoins are additional equijoin predicates applied by the same
-	// join operator beyond Join: when more than one join predicate
-	// connects the two inputs, the first drives the physical algorithm
-	// (hash key, merge order, index probe) and the rest filter its
-	// matches. Empty for single-predicate joins.
-	ExtraJoins []query.Join
 
-	// SortCols / GroupCols annotate Sort/aggregate operators.
-	SortCols  []query.ColRef
-	GroupCols []query.ColRef
-
-	// TopN annotates Top operators.
-	TopN int
+	// Ann holds the node's rare annotations, or is nil when it carries
+	// none; read them through the accessors of the same names. Finished
+	// nodes share no block, and a block is never written once built.
+	Ann *Annotations
 
 	// Optimizer estimates for this node.
 	EstRows           float64 // estimated output rows
@@ -152,13 +159,68 @@ type Node struct {
 	// Execution actuals, filled in by the executor.
 	ActualRows float64
 	ActualCost float64
-
-	// Scratch is free for the plan's producer while the node is being
-	// built (the optimizer indexes per-node cost arguments with it). It
-	// carries no plan semantics: it is excluded from Fingerprint and
-	// String and is zeroed on finished plans.
-	Scratch int32
 }
+
+// Annotations are the annotations few operators carry, kept out of line so
+// that the nodes without any (most of a plan) do not pay for them.
+type Annotations struct {
+	// SeekPreds are the predicates an index seek satisfies by the key
+	// traversal.
+	SeekPreds []query.Pred
+	// ExtraJoins are additional equijoin predicates applied by the same
+	// join operator beyond Join: when more than one join predicate
+	// connects the two inputs, the first drives the physical algorithm
+	// (hash key, merge order, index probe) and the rest filter its
+	// matches. Empty for single-predicate joins.
+	ExtraJoins []query.Join
+	// SortCols / GroupCols annotate Sort/aggregate operators.
+	SortCols  []query.ColRef
+	GroupCols []query.ColRef
+	// TopN annotates Top operators.
+	TopN int
+}
+
+// Empty reports whether a carries no annotation, in which case a node
+// holds no block for it.
+func (a *Annotations) Empty() bool {
+	return len(a.SeekPreds) == 0 && len(a.ExtraJoins) == 0 && len(a.SortCols) == 0 &&
+		len(a.GroupCols) == 0 && a.TopN == 0
+}
+
+// Index returns the id of the index the node reads, or "" when it reads
+// none.
+func (n *Node) Index() string {
+	if n.IndexDef == nil {
+		return ""
+	}
+	return n.IndexDef.ID()
+}
+
+// noAnnotations is what a node without a block reads. Nothing writes it.
+var noAnnotations Annotations
+
+func (n *Node) ann() *Annotations {
+	if n.Ann == nil {
+		return &noAnnotations
+	}
+	return n.Ann
+}
+
+// SeekPreds returns the predicates an index seek satisfies by the key
+// traversal.
+func (n *Node) SeekPreds() []query.Pred { return n.ann().SeekPreds }
+
+// ExtraJoins returns the join predicates a join applies beyond Join.
+func (n *Node) ExtraJoins() []query.Join { return n.ann().ExtraJoins }
+
+// SortCols returns a Sort's key columns.
+func (n *Node) SortCols() []query.ColRef { return n.ann().SortCols }
+
+// GroupCols returns an aggregate's grouping columns.
+func (n *Node) GroupCols() []query.ColRef { return n.ann().GroupCols }
+
+// TopN returns a Top's row limit, 0 for other operators.
+func (n *Node) TopN() int { return n.ann().TopN }
 
 // Key returns the node's attribute index in the fixed key space.
 func (n *Node) Key() int { return KeyIndex(n.Op, n.Mode, n.Par) }
@@ -211,8 +273,8 @@ func (p *Plan) Fingerprint() uint64 {
 	h := fnv.New64a()
 	var visit func(n *Node)
 	visit = func(n *Node) {
-		fmt.Fprintf(h, "(%d/%d/%d:%s:%s", n.Op, n.Mode, n.Par, n.Table, n.Index)
-		for _, pr := range n.SeekPreds {
+		fmt.Fprintf(h, "(%d/%d/%d:%s:%s", n.Op, n.Mode, n.Par, n.Table, n.Index())
+		for _, pr := range n.SeekPreds() {
 			fmt.Fprintf(h, "s%s", pr.String())
 		}
 		for _, pr := range n.ResidualPreds {
@@ -221,16 +283,16 @@ func (p *Plan) Fingerprint() uint64 {
 		if n.Join != nil {
 			fmt.Fprintf(h, "j%s", n.Join.String())
 		}
-		for _, j := range n.ExtraJoins {
+		for _, j := range n.ExtraJoins() {
 			fmt.Fprintf(h, "J%s", j.String())
 		}
-		for _, c := range n.SortCols {
+		for _, c := range n.SortCols() {
 			fmt.Fprintf(h, "o%s", c.String())
 		}
-		for _, c := range n.GroupCols {
+		for _, c := range n.GroupCols() {
 			fmt.Fprintf(h, "g%s", c.String())
 		}
-		fmt.Fprintf(h, "t%d", n.TopN)
+		fmt.Fprintf(h, "t%d", n.TopN())
 		for _, c := range n.Children {
 			visit(c)
 		}
@@ -252,18 +314,18 @@ func (p *Plan) String() string {
 		if n.Table != "" {
 			fmt.Fprintf(&b, " table=%s", n.Table)
 		}
-		if n.Index != "" {
-			fmt.Fprintf(&b, " index=%s", n.Index)
+		if ix := n.Index(); ix != "" {
+			fmt.Fprintf(&b, " index=%s", ix)
 		}
 		if n.Join != nil {
 			fmt.Fprintf(&b, " on(%s)", n.Join)
-			for _, j := range n.ExtraJoins {
+			for _, j := range n.ExtraJoins() {
 				fmt.Fprintf(&b, " and(%s)", j)
 			}
 		}
-		if len(n.SeekPreds) > 0 {
+		if seek := n.SeekPreds(); len(seek) > 0 {
 			var ps []string
-			for _, pr := range n.SeekPreds {
+			for _, pr := range seek {
 				ps = append(ps, pr.String())
 			}
 			fmt.Fprintf(&b, " seek(%s)", strings.Join(ps, " AND "))

@@ -3,20 +3,22 @@ package plan
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
+	"repro/internal/engine/catalog"
 	"repro/internal/engine/query"
 )
 
 func samplePlan() *Plan {
 	scan := &Node{Op: TableScan, Table: "lineitem", EstRows: 1000, EstRowWidth: 8, EstCost: 10}
-	seek := &Node{Op: IndexSeek, Table: "orders", Index: "orders/bt(o_id)",
-		SeekPreds: []query.Pred{{Table: "orders", Column: "o_id", Lo: 1, Hi: 1}},
-		EstRows:   10, EstRowWidth: 8, EstCost: 1}
+	seek := &Node{Op: IndexSeek, Table: "orders", IndexDef: &catalog.Index{Table: "orders", KeyColumns: []string{"o_id"}},
+		Ann:     &Annotations{SeekPreds: []query.Pred{{Table: "orders", Column: "o_id", Lo: 1, Hi: 1}}},
+		EstRows: 10, EstRowWidth: 8, EstCost: 1}
 	join := &Node{Op: HashJoin, Children: []*Node{scan, seek},
 		Join:    &query.Join{LeftTable: "lineitem", LeftColumn: "l_oid", RightTable: "orders", RightColumn: "o_id"},
 		EstRows: 100, EstRowWidth: 16, EstCost: 20}
 	agg := &Node{Op: HashAggregate, Children: []*Node{join}, EstRows: 5, EstRowWidth: 16, EstCost: 3,
-		GroupCols: []query.ColRef{{Table: "orders", Column: "o_id"}}}
+		Ann: &Annotations{GroupCols: []query.ColRef{{Table: "orders", Column: "o_id"}}}}
 	return &Plan{
 		Root:         agg,
 		Query:        &query.Query{Name: "q", Tables: []string{"lineitem", "orders"}},
@@ -108,14 +110,14 @@ func TestFingerprintStability(t *testing.T) {
 	}
 	// Index choice does.
 	d := samplePlan()
-	d.Root.Children[0].Children[1].Index = "orders/bt(o_date)"
+	d.Root.Children[0].Children[1].IndexDef = &catalog.Index{Table: "orders", KeyColumns: []string{"o_date"}}
 	if a.Fingerprint() == d.Fingerprint() {
 		t.Fatal("different index must change fingerprint")
 	}
 	// Predicate constants do (different parameterizations are distinct plans).
 	e := samplePlan()
-	e.Root.Children[0].Children[1].SeekPreds[0].Lo = 2
-	e.Root.Children[0].Children[1].SeekPreds[0].Hi = 2
+	e.Root.Children[0].Children[1].Ann.SeekPreds[0].Lo = 2
+	e.Root.Children[0].Children[1].Ann.SeekPreds[0].Hi = 2
 	if a.Fingerprint() == e.Fingerprint() {
 		t.Fatal("different constants must change fingerprint")
 	}
@@ -145,6 +147,31 @@ func TestPlanString(t *testing.T) {
 	p.Root.ActualCost = 2.5
 	if !strings.Contains(p.String(), "rows=5") {
 		t.Fatal("actuals not rendered")
+	}
+}
+
+// TestNodeLayout pins the node's size on 64-bit platforms, where the what-if
+// cache holds tens of thousands of nodes per tuning job, and the accessors
+// of a node without an annotation block.
+func TestNodeLayout(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) == 8 {
+		if got := unsafe.Sizeof(Node{}); got != 144 {
+			t.Fatalf("plan.Node is %d bytes, want 144", got)
+		}
+		if got := unsafe.Sizeof(Annotations{}); got != 104 {
+			t.Fatalf("plan.Annotations is %d bytes, want 104", got)
+		}
+	}
+	n := &Node{Op: TableScan, Table: "lineitem"}
+	if n.Index() != "" || n.SeekPreds() != nil || n.ExtraJoins() != nil || n.SortCols() != nil || n.GroupCols() != nil || n.TopN() != 0 {
+		t.Fatal("a node without an index or annotation block must read as carrying none")
+	}
+	if !(&Annotations{}).Empty() || (&Annotations{TopN: 1}).Empty() {
+		t.Fatal("Empty must hold exactly for a block that carries nothing")
+	}
+	seek := samplePlan().Root.Children[0].Children[1]
+	if seek.Index() != "orders/bt(o_id)" || seek.Index() != seek.IndexDef.ID() {
+		t.Fatalf("Index() = %q, want the definition's id", seek.Index())
 	}
 }
 

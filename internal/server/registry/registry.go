@@ -32,6 +32,7 @@ package registry
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -50,12 +51,14 @@ import (
 )
 
 // Registry metric handles: classifier-store occupancy (versions and bytes)
-// and the retention policy's activity (see DESIGN.md §11). The encoder
-// store does not publish them.
+// and the retention policy's activity (see DESIGN.md §11), which the
+// encoder store does not publish, and the writes of either store whose
+// directory sync failed (writeFile).
 var (
 	mRegVersions = obs.G("server.registry.versions")
 	mRegBytes    = obs.G("server.registry.store_bytes")
 	mRegPruned   = obs.C("server.registry.pruned")
+	mRegUnsynced = obs.C("server.registry.unsynced_writes")
 )
 
 // kind is what tells the two store instances apart.
@@ -236,6 +239,25 @@ func (s *Store[T]) find(id int) *Version[T] {
 	return nil
 }
 
+// writeAtomic is the store's write path; tests replace it to fail the
+// directory sync.
+var writeAtomic = util.WriteFileAtomic
+
+// writeFile writes a blob or pointer for Add and Activate. A directory
+// sync that fails after the rename leaves the new contents in place, so
+// the write counts as done and the caller updates memory to match the
+// directory: failing it instead would let the process keep serving a
+// version the directory, and so the next Open, no longer names. Such
+// writes are counted in server.registry.unsynced_writes, not returned.
+func writeFile(path string, data []byte) error {
+	err := writeAtomic(path, data)
+	if errors.Is(err, util.ErrDirSync) {
+		mRegUnsynced.Inc()
+		return nil
+	}
+	return err
+}
+
 // Add validates a blob and stores it as the next version, without
 // activating it. The blob must round-trip through the store's validator;
 // anything else is rejected.
@@ -253,7 +275,7 @@ func (s *Store[T]) Add(data []byte) (*Version[T], error) {
 	v := &Version[T]{ID: id, Size: int64(len(data)), AddedAt: time.Now(), Value: val}
 	if s.dir != "" {
 		path := filepath.Join(s.dir, s.blobName(id))
-		if err := util.WriteFileAtomic(path, data); err != nil {
+		if err := writeFile(path, data); err != nil {
 			return nil, fmt.Errorf("registry: %w", err)
 		}
 		v.Path = path
@@ -319,7 +341,9 @@ func (s *Store[T]) Prune(keep int, pin ...int) ([]int, error) {
 // Activate makes version id the serving one. The swap is atomic: readers
 // see either the previous fully-loaded version or the new one, never a
 // partial state. With a directory, the pointer file is durably updated
-// (temp file + rename) before the in-memory swap.
+// (temp file + rename) before the in-memory swap; when only the directory
+// sync fails, the pointer already names id and the swap happens too
+// (writeFile).
 func (s *Store[T]) Activate(id int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -328,7 +352,7 @@ func (s *Store[T]) Activate(id int) error {
 		return fmt.Errorf("registry: unknown %sversion %d", s.tag, id)
 	}
 	if s.dir != "" {
-		if err := util.WriteFileAtomic(filepath.Join(s.dir, s.pointer), []byte(fmt.Sprintf("%d\n", id))); err != nil {
+		if err := writeFile(filepath.Join(s.dir, s.pointer), []byte(fmt.Sprintf("%d\n", id))); err != nil {
 			return fmt.Errorf("registry: %w", err)
 		}
 	}

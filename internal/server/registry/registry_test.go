@@ -14,6 +14,8 @@ import (
 	"repro/internal/expdata"
 	"repro/internal/feat"
 	"repro/internal/models"
+	"repro/internal/obs"
+	"repro/internal/util"
 )
 
 // testBlob builds a small valid classifier blob. Training uses synthetic
@@ -303,6 +305,58 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 		}
 		if v3.ID != 3 {
 			t.Fatalf("post-reopen id = %d, want 3", v3.ID)
+		}
+	})
+}
+
+// TestFailedDirSyncCountsAsWritten: when the directory sync after a
+// rename fails, the new blob or pointer is already in place, so Add keeps
+// the version and Activate swaps, and a reopened store agrees with the
+// process that wrote it.
+func TestFailedDirSyncCountsAsWritten(t *testing.T) {
+	defer obs.SetEnabled(obs.Enabled())
+	obs.SetEnabled(true)
+	forEachStore(t, func(t *testing.T, c storeCase) {
+		dir := t.TempDir()
+		r, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := c.store(r)
+		if _, err := s.addAndActivate(c.blob(t, 1)); err != nil {
+			t.Fatal(err)
+		}
+		writeAtomic = func(path string, data []byte) error {
+			if err := util.WriteFileAtomic(path, data); err != nil {
+				return err
+			}
+			return fmt.Errorf("%s: %w: injected", path, util.ErrDirSync)
+		}
+		defer func() { writeAtomic = util.WriteFileAtomic }()
+		before := mRegUnsynced.Value()
+		v2, err := s.add(c.blob(t, 2))
+		if err != nil {
+			t.Fatalf("Add after a failed directory sync: %v", err)
+		}
+		if err := s.Activate(v2.ID); err != nil {
+			t.Fatalf("Activate after a failed directory sync: %v", err)
+		}
+		if got := s.serving(); got == nil || got.ID != v2.ID {
+			t.Fatalf("active = %+v, want v%d, which %s names", got, v2.ID, c.pointer)
+		}
+		if n := mRegUnsynced.Value() - before; n != 2 {
+			t.Fatalf("server.registry.unsynced_writes rose by %d, want 2", n)
+		}
+
+		r2, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := c.store(r2).serving(); got == nil || got.ID != v2.ID {
+			t.Fatalf("reopen serves %+v, the process served v%d", got, v2.ID)
+		}
+		if got := ids(c.store(r2).List()); got != "[1 2]" {
+			t.Fatalf("reopen found versions %s, want [1 2]", got)
 		}
 	})
 }

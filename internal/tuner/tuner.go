@@ -19,10 +19,12 @@
 package tuner
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -301,6 +303,24 @@ func better(cmp models.Comparator, pBest, pH *plan.Plan) bool {
 	return pH.EstTotalCost < pBest.EstTotalCost
 }
 
+// stepWinner returns the winner of a greedy step among the gate's
+// survivors, given in candidate order: the lowest-cost survivor that better
+// accepts against the incumbent, the earliest on ties, or nil when better
+// accepts none. It asks better in ascending (cost, candidate order) and
+// stops at the first acceptance, which is that survivor, so the comparator
+// is consulted only while a survivor can still win. It reorders survivors.
+func stepWinner(c models.Comparator, incumbent *plan.Plan, survivors []*queryProbe) *queryProbe {
+	slices.SortStableFunc(survivors, func(a, b *queryProbe) int {
+		return cmp.Compare(a.p.EstTotalCost, b.p.EstTotalCost)
+	})
+	for _, pr := range survivors {
+		if better(c, incumbent, pr.p) {
+			return pr
+		}
+	}
+	return nil
+}
+
 // queryProbe is one candidate probe of a greedy step: the candidate index,
 // the hypothetical configuration including it, and the optimizer's answer.
 type queryProbe struct {
@@ -367,27 +387,22 @@ func (t *Tuner) tuneQuery(ctx context.Context, q *query.Query, c0 *catalog.Confi
 			pr.p, pr.err = t.WhatIf.Plan(q, pr.cfg)
 		})
 		// Serial selection over the probe results, in candidate order: gate
-		// every candidate against the initial plan, rank the survivors
-		// against the step's fixed incumbent (bestPlan), then keep the
-		// lowest-cost one.
+		// every candidate against the initial plan, then pick the step's
+		// winner among the survivors against its fixed incumbent
+		// (bestPlan).
 		verdicts, err := gate(cmp, len(probes), func(i int) (*plan.Plan, *plan.Plan, error) {
 			return p0, probes[i].p, probes[i].err
 		})
 		if err != nil {
 			return nil, err
 		}
-		var step *queryProbe
+		survivors := probes[:0]
 		for i, pr := range probes {
-			if verdicts != nil && !gateVerdict(verdicts[i]) {
-				continue
-			}
-			if !better(cmp, bestPlan, pr.p) {
-				continue
-			}
-			if step == nil || pr.p.EstTotalCost < step.p.EstTotalCost {
-				step = pr
+			if verdicts == nil || gateVerdict(verdicts[i]) {
+				survivors = append(survivors, pr)
 			}
 		}
+		step := stepWinner(cmp, bestPlan, survivors)
 		if step == nil {
 			break
 		}

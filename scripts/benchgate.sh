@@ -23,7 +23,7 @@ cd "$(dirname "$0")/.."
 root=$(pwd)
 base=$(git rev-parse --verify "$1^{commit}")
 
-gate=OptimizerPlan,ExecutorRun,CandidateGen,ForestTrain,ForestTrainPairs,EmbedPlan,TuneQuery,TuneWorkloadSerial,TuneWorkloadGated
+gate=OptimizerPlan,ExecutorRun,CandidateGen,ForestTrain,ForestTrainPairs,EmbedPlan,TuneQuery,TuneWorkloadSerial,TuneWorkloadGated,TelemetrySnapshot
 filter="^Benchmark(${gate//,/|})\$"
 
 work=$(mktemp -d)
