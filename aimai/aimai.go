@@ -43,6 +43,9 @@ type (
 	Query = query.Query
 	// Plan is a physical plan annotated with optimizer estimates.
 	Plan = plan.Plan
+	// Actual is one operator's actual rows and measured cost in one
+	// execution.
+	Actual = exec.Actual
 	// Index is an index definition (B+ tree or columnstore).
 	Index = catalog.Index
 	// Configuration is a set of indexes.
@@ -159,8 +162,11 @@ type ExecutionResult struct {
 	Rows [][]int64
 	// Cost is the measured execution cost (the paper's CPU-time stand-in).
 	Cost float64
-	// Plan is the executed plan annotated with per-operator actuals.
+	// Plan is the executed plan.
 	Plan *Plan
+	// Actuals are each operator's actual rows and measured cost, in the
+	// pre-order of Plan.Root.Walk.
+	Actuals []Actual
 }
 
 // Execute runs q under cfg and measures its execution cost.
@@ -173,7 +179,7 @@ func (s *System) Execute(q *Query, cfg *Configuration) (*ExecutionResult, error)
 	if err != nil {
 		return nil, err
 	}
-	return &ExecutionResult{Rows: r.Rows, Cost: r.MeasuredCost, Plan: r.Annotated}, nil
+	return &ExecutionResult{Rows: r.Rows, Cost: r.MeasuredCost, Plan: p, Actuals: r.Actuals}, nil
 }
 
 // CollectOptions configure execution-data collection; zero values use the
@@ -284,9 +290,12 @@ func ImportTelemetry(r io.Reader) ([]PlanRecord, error) {
 }
 
 // TrainClassifierFromTelemetry trains the reference RF classifier purely
-// from telemetry records (no plan objects needed): records of the same
-// (database, query) are paired, labeled by measured cost at α, and fed to
-// the forest.
+// from telemetry records (no plan objects needed). The records are paired
+// by the serve daemon's own rule (learn.Compact, without a recency
+// window): records with bad costs or malformed channels are skipped,
+// duplicates of one plan keep the freshest measurement, and records of
+// the same (database, query) are paired, at most 60 pairs each, labeled
+// by measured cost at α.
 func TrainClassifierFromTelemetry(recs []PlanRecord, o ClassifierOptions) (*Classifier, error) {
 	if o.Trees <= 0 {
 		o.Trees = 100
@@ -295,12 +304,9 @@ func TrainClassifierFromTelemetry(recs []PlanRecord, o ClassifierOptions) (*Clas
 		o.Alpha = DefaultAlpha
 	}
 	f := feat.Default()
-	X, y, _, err := expdata.TelemetryPairs(recs, f, o.Alpha, 60)
-	if err != nil {
-		return nil, err
-	}
+	set := learn.Compact(recs, f, learn.Options{Alpha: o.Alpha, Window: -1, MaxPairsPerTemplate: 60})
 	clf := models.NewClassifier(f, models.RF(o.Trees, o.Seed), o.Alpha)
-	if err := clf.TrainVectors(X, y); err != nil {
+	if err := clf.TrainVectors(set.X, set.Y); err != nil {
 		return nil, err
 	}
 	return clf, nil

@@ -3,7 +3,10 @@ package aimai
 import (
 	"bytes"
 	"context"
+	"math"
 	"testing"
+
+	"repro/internal/engine/plan"
 )
 
 func TestEndToEndFacade(t *testing.T) {
@@ -28,6 +31,14 @@ func TestEndToEndFacade(t *testing.T) {
 	}
 	if res.Cost <= 0 {
 		t.Fatal("execution must measure cost")
+	}
+	if res.Plan != p {
+		t.Fatal("Execute must return the cached plan it executed")
+	}
+	nodes := 0
+	p.Root.Walk(func(*plan.Node) { nodes++ })
+	if len(res.Actuals) != nodes {
+		t.Fatalf("%d actuals for %d plan nodes", len(res.Actuals), nodes)
 	}
 
 	// Collect data and train the classifier.
@@ -136,6 +147,48 @@ func TestTelemetryAndSerializationFacade(t *testing.T) {
 	tn := sys.NewTuner(loaded, TunerOptions{})
 	if _, err := tn.TuneQuery(context.Background(), w.Queries[0], nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTelemetryTrainingSkipsBadCosts: a record with a NaN measured cost
+// and one with an infinite estimate are skipped, so training on the stream
+// with them saves the same model blob as training without them.
+func TestTelemetryTrainingSkipsBadCosts(t *testing.T) {
+	w := TPCH("facade-bad", 1000, 5)
+	sys, err := Open(w, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := sys.CollectExecutionData(CollectOptions{MaxConfigsPerQuery: 6, ExecRepeats: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stream bytes.Buffer
+	if err := ExportTelemetry(&stream, data); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := ImportTelemetry(&stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob := func(recs []PlanRecord) []byte {
+		t.Helper()
+		clf, err := TrainClassifierFromTelemetry(recs, ClassifierOptions{Trees: 20, Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b bytes.Buffer
+		if err := SaveClassifier(clf, &b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	nanCost, infEst := recs[0], recs[1]
+	nanCost.Cost = math.NaN()
+	infEst.EstTotalCost = math.Inf(1)
+	hostile := append([]PlanRecord{nanCost, infEst}, recs...)
+	if !bytes.Equal(blob(hostile), blob(recs)) {
+		t.Fatal("bad-cost records changed the trained model")
 	}
 }
 

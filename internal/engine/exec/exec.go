@@ -138,8 +138,25 @@ type Result struct {
 	WorkCost float64
 	// MeasuredCost is WorkCost with measurement noise applied.
 	MeasuredCost float64
-	// Annotated is a copy of the plan with ActualRows/ActualCost filled.
-	Annotated *plan.Plan
+	// Actuals holds one entry per plan node, in the pre-order of the
+	// plan's Root.Walk. A node the run never charged reads as zero.
+	Actuals []Actual
+}
+
+// Actual is what one operator did in one execution: the rows it produced
+// and its measured (noisy) cost. Summed over a plan's nodes, the costs are
+// the run's MeasuredCost.
+type Actual struct {
+	Rows float64
+	Cost float64
+}
+
+// preorder numbers the nodes of a plan tree by their position in
+// Root.Walk's pre-order, the order of Result.Actuals.
+func preorder(root *plan.Node) map[*plan.Node]int {
+	pos := map[*plan.Node]int{}
+	root.Walk(func(n *plan.Node) { pos[n] = len(pos) })
+	return pos
 }
 
 // tableCols is the precomputed column metadata for one base table: the
@@ -262,24 +279,27 @@ func materializeRows(b *batch) [][]int64 {
 
 // runState carries per-execution state.
 type runState struct {
-	e    *Executor
-	q    *query.Query
-	rng  *util.RNG
-	work float64
-	meas float64
-	a    arena
+	e       *Executor
+	q       *query.Query
+	rng     *util.RNG
+	work    float64
+	meas    float64
+	pos     map[*plan.Node]int
+	actuals []Actual
+	a       arena
 }
 
 // Execute runs the plan once. rng drives measurement noise only; the result
-// rows and WorkCost are deterministic for a given plan and database.
+// rows and WorkCost are deterministic for a given plan and database. The
+// plan is only read, so a cached plan may be executed concurrently.
 func (e *Executor) Execute(p *plan.Plan, rng *util.RNG) (*Result, error) {
 	if rng == nil {
 		rng = util.NewRNG(1)
 	}
-	cl := clonePlan(p)
-	st := &runState{e: e, q: p.Query, rng: rng}
+	pos := preorder(p.Root)
+	st := &runState{e: e, q: p.Query, rng: rng, pos: pos, actuals: make([]Actual, len(pos))}
 	t0 := mExecLat.Start()
-	out, err := st.run(cl.Root)
+	out, err := st.run(p.Root)
 	mExecLat.Stop(t0)
 	if err != nil {
 		st.a.release()
@@ -290,7 +310,7 @@ func (e *Executor) Execute(p *plan.Plan, rng *util.RNG) (*Result, error) {
 		Rows:         materializeRows(out),
 		WorkCost:     st.work,
 		MeasuredCost: st.meas,
-		Annotated:    cl,
+		Actuals:      st.actuals,
 	}
 	st.a.release()
 	return res, nil
@@ -316,20 +336,6 @@ func (e *Executor) MedianCost(p *plan.Plan, rng *util.RNG, k int) (float64, *Res
 		costs = append(costs, r.MeasuredCost)
 	}
 	return util.Median(costs), first, nil
-}
-
-// clonePlan deep-copies the plan tree so cached plans are never mutated.
-func clonePlan(p *plan.Plan) *plan.Plan {
-	var cp func(n *plan.Node) *plan.Node
-	cp = func(n *plan.Node) *plan.Node {
-		c := *n
-		c.Children = make([]*plan.Node, len(n.Children))
-		for i, ch := range n.Children {
-			c.Children[i] = cp(ch)
-		}
-		return &c
-	}
-	return &plan.Plan{Root: cp(p.Root), Query: p.Query, ConfigFP: p.ConfigFP, EstTotalCost: p.EstTotalCost}
 }
 
 // Index returns (building and caching on demand) the physical B+ tree for
@@ -392,16 +398,15 @@ func (e *Executor) CachedIndexes() []string {
 	return ids
 }
 
-// charge computes an operator's true cost, applies noise, and annotates the
-// node with actuals.
+// charge computes an operator's true cost, applies noise, and records the
+// node's actuals.
 func (st *runState) charge(n *plan.Node, a cost.Args) {
 	c := st.e.Model.OpCost(n.Op, n.Mode, n.Par, a)
 	noisy := c
 	if st.e.NoiseSigma > 0 {
 		noisy = c * st.rng.LogNormal(st.e.NoiseSigma)
 	}
-	n.ActualRows = a.RowsOut
-	n.ActualCost = noisy
+	st.actuals[st.pos[n]] = Actual{Rows: a.RowsOut, Cost: noisy}
 	st.work += c
 	st.meas += noisy
 	mOpCost[n.Op].Observe(c)

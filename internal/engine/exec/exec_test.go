@@ -1,8 +1,10 @@
 package exec
 
 import (
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/engine/catalog"
@@ -449,25 +451,81 @@ func TestActualsAnnotated(t *testing.T) {
 	}
 	p, _ := e.opt.Optimize(q, nil)
 	r, _ := e.exec.Execute(p, util.NewRNG(8))
+	nodes := 0
+	p.Root.Walk(func(*plan.Node) { nodes++ })
+	if len(r.Actuals) != nodes {
+		t.Fatalf("%d actuals for %d plan nodes", len(r.Actuals), nodes)
+	}
 	var sum float64
-	r.Annotated.Root.Walk(func(n *plan.Node) {
-		if n.ActualCost <= 0 {
-			t.Fatalf("node %s missing actual cost", n.KeyName())
+	for i, a := range r.Actuals {
+		if a.Cost <= 0 {
+			t.Fatalf("node %d missing actual cost", i)
 		}
-		sum += n.ActualCost
-	})
+		sum += a.Cost
+	}
 	if diff := sum - r.MeasuredCost; diff > 1e-6 || diff < -1e-6 {
 		t.Fatalf("node actuals %v != measured %v", sum, r.MeasuredCost)
 	}
-	// The original (cached) plan must stay untouched.
-	touched := false
-	p.Root.Walk(func(n *plan.Node) {
-		if n.ActualCost != 0 {
-			touched = true
+	if r.Actuals[0].Rows != float64(len(r.Rows)) {
+		t.Fatalf("root actual rows %v, result has %d rows", r.Actuals[0].Rows, len(r.Rows))
+	}
+}
+
+// TestConcurrentExecuteLeavesCachedPlanIntact runs one cached what-if plan
+// through Execute from many goroutines at once (run it under -race): each
+// run must measure exactly what a serial run with the same seed measures,
+// and the shared plan must render and fingerprint as before.
+func TestConcurrentExecuteLeavesCachedPlanIntact(t *testing.T) {
+	e := newEnv(t)
+	q := &query.Query{
+		Name:   "shared",
+		Tables: []string{"dim", "fact"},
+		Preds:  []query.Pred{{Table: "dim", Column: "d_id", Lo: 3, Hi: 5}},
+		Joins:  []query.Join{{LeftTable: "fact", LeftColumn: "f_dim", RightTable: "dim", RightColumn: "d_id"}},
+		Select: []query.ColRef{{Table: "fact", Column: "f_val"}, {Table: "dim", Column: "d_cat"}},
+	}
+	cfg := catalog.NewConfiguration(&catalog.Index{Table: "fact", KeyColumns: []string{"f_dim"}, IncludedColumns: []string{"f_val"}})
+	wi := opt.NewWhatIf(e.opt)
+	p, err := wi.Plan(q, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := wi.Plan(q, cfg); again != p {
+		t.Fatal("the what-if cache did not return the cached plan")
+	}
+	text, fp := p.String(), p.Fingerprint()
+
+	const workers = 8
+	serial := make([]*Result, workers)
+	for i := range serial {
+		if serial[i], err = e.exec.Execute(p, util.NewRNG(int64(100+i))); err != nil {
+			t.Fatal(err)
 		}
-	})
-	if touched {
-		t.Fatal("executor must not mutate the input plan")
+	}
+	got := make([]*Result, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], errs[i] = e.exec.Execute(p, util.NewRNG(int64(100+i)))
+		}(i)
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if got[i].MeasuredCost != serial[i].MeasuredCost {
+			t.Fatalf("run %d measured %v concurrently, %v serially", i, got[i].MeasuredCost, serial[i].MeasuredCost)
+		}
+		if !slices.Equal(got[i].Actuals, serial[i].Actuals) {
+			t.Fatalf("run %d actuals %v concurrently, %v serially", i, got[i].Actuals, serial[i].Actuals)
+		}
+	}
+	if p.String() != text || p.Fingerprint() != fp {
+		t.Fatalf("executing changed the cached plan:\n%s\nwas\n%s", p, text)
 	}
 }
 

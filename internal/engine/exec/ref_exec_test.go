@@ -36,11 +36,13 @@ func (r *refRel) colIdx(table, column string) int {
 }
 
 type refRunState struct {
-	e    *Executor
-	q    *query.Query
-	rng  *util.RNG
-	work float64
-	meas float64
+	e       *Executor
+	q       *query.Query
+	rng     *util.RNG
+	work    float64
+	meas    float64
+	pos     map[*plan.Node]int
+	actuals []Actual
 }
 
 // refExecute runs the plan once with the seed row-at-a-time engine.
@@ -48,9 +50,9 @@ func refExecute(e *Executor, p *plan.Plan, rng *util.RNG) (*Result, error) {
 	if rng == nil {
 		rng = util.NewRNG(1)
 	}
-	cl := clonePlan(p)
-	st := &refRunState{e: e, q: p.Query, rng: rng}
-	out, err := st.run(cl.Root)
+	pos := preorder(p.Root)
+	st := &refRunState{e: e, q: p.Query, rng: rng, pos: pos, actuals: make([]Actual, len(pos))}
+	out, err := st.run(p.Root)
 	if err != nil {
 		return nil, err
 	}
@@ -59,7 +61,7 @@ func refExecute(e *Executor, p *plan.Plan, rng *util.RNG) (*Result, error) {
 		Rows:         out.rows,
 		WorkCost:     st.work,
 		MeasuredCost: st.meas,
-		Annotated:    cl,
+		Actuals:      st.actuals,
 	}, nil
 }
 
@@ -69,8 +71,7 @@ func (st *refRunState) charge(n *plan.Node, a cost.Args) {
 	if st.e.NoiseSigma > 0 {
 		noisy = c * st.rng.LogNormal(st.e.NoiseSigma)
 	}
-	n.ActualRows = a.RowsOut
-	n.ActualCost = noisy
+	st.actuals[st.pos[n]] = Actual{Rows: a.RowsOut, Cost: noisy}
 	st.work += c
 	st.meas += noisy
 }

@@ -13,8 +13,8 @@ import (
 
 // requireSameResults compares a vectorized execution against the frozen
 // row-at-a-time reference: identical columns, identical rows in identical
-// order, bit-identical WorkCost and MeasuredCost, and identical per-node
-// actuals on the annotated plans.
+// order, bit-identical WorkCost and MeasuredCost, and bit-identical
+// per-node actuals.
 func requireSameResults(t *testing.T, name string, vec, ref *Result) {
 	t.Helper()
 	if len(vec.Cols) != len(ref.Cols) {
@@ -45,22 +45,18 @@ func requireSameResults(t *testing.T, name string, vec, ref *Result) {
 	if math.Float64bits(vec.MeasuredCost) != math.Float64bits(ref.MeasuredCost) {
 		t.Fatalf("%s: MeasuredCost %x vs ref %x", name, vec.MeasuredCost, ref.MeasuredCost)
 	}
-	var cmp func(a, b *plan.Node)
-	cmp = func(a, b *plan.Node) {
-		if a.Op != b.Op {
-			t.Fatalf("%s: annotated shape diverged: %v vs %v", name, a.Op, b.Op)
+	if len(vec.Actuals) != len(ref.Actuals) {
+		t.Fatalf("%s: %d actuals vs ref %d", name, len(vec.Actuals), len(ref.Actuals))
+	}
+	for i, a := range vec.Actuals {
+		b := ref.Actuals[i]
+		if math.Float64bits(a.Rows) != math.Float64bits(b.Rows) {
+			t.Fatalf("%s: node %d actual rows %v vs ref %v", name, i, a.Rows, b.Rows)
 		}
-		if math.Float64bits(a.ActualRows) != math.Float64bits(b.ActualRows) {
-			t.Fatalf("%s: %v ActualRows %v vs ref %v", name, a.Op, a.ActualRows, b.ActualRows)
-		}
-		if math.Float64bits(a.ActualCost) != math.Float64bits(b.ActualCost) {
-			t.Fatalf("%s: %v ActualCost %x vs ref %x", name, a.Op, a.ActualCost, b.ActualCost)
-		}
-		for i := range a.Children {
-			cmp(a.Children[i], b.Children[i])
+		if math.Float64bits(a.Cost) != math.Float64bits(b.Cost) {
+			t.Fatalf("%s: node %d actual cost %x vs ref %x", name, i, a.Cost, b.Cost)
 		}
 	}
-	cmp(vec.Annotated.Root, ref.Annotated.Root)
 }
 
 // runBoth optimizes (with optional knob mutation), executes on both engines

@@ -113,8 +113,8 @@ func (w *WhatIf) shardFor(key whatIfKey) *whatIfShard {
 
 // Plan returns the optimizer's plan for q under the (possibly hypothetical)
 // configuration cfg. Results are cached; callers must not mutate the
-// returned plan's estimate annotations. (The executor clones plans before
-// filling actuals.) Plan is safe to call from many goroutines.
+// returned plan (the executor only reads it). Plan is safe to call from
+// many goroutines.
 func (w *WhatIf) Plan(q *query.Query, cfg *catalog.Configuration) (*plan.Plan, error) {
 	if cfg == nil {
 		cfg = emptyConfig

@@ -9,7 +9,9 @@
 // annotations only seeks, multi-predicate joins, sorts, aggregates and Top
 // carry (SeekPreds, ExtraJoins, SortCols, GroupCols, TopN) live in an
 // Annotations block that the few nodes carrying one point at, and the index
-// id is derived from the index definition rather than stored.
+// id is derived from the index definition rather than stored. A plan holds
+// only what the optimizer chose and estimated: what an execution measured
+// per operator is the executor's output, indexed by Walk's pre-order.
 package plan
 
 import (
@@ -116,7 +118,7 @@ func KeyName(idx int) string {
 }
 
 // Node is one operator in a physical plan tree. Its fields are laid out
-// for size (144 bytes on 64-bit platforms): the one-byte operator key sits
+// for size (128 bytes on 64-bit platforms): the one-byte operator key sits
 // beside Scratch, and the rare annotations live out of line in Ann.
 type Node struct {
 	Op   Op
@@ -155,10 +157,6 @@ type Node struct {
 	EstRowWidth       float64 // estimated bytes per output row
 	EstBytesProcessed float64 // estimated bytes read/processed by the node
 	EstCost           float64 // estimated cost of this node alone
-
-	// Execution actuals, filled in by the executor.
-	ActualRows float64
-	ActualCost float64
 }
 
 // Annotations are the annotations few operators carry, kept out of line so
@@ -338,9 +336,6 @@ func (p *Plan) String() string {
 			fmt.Fprintf(&b, " where(%s)", strings.Join(ps, " AND "))
 		}
 		fmt.Fprintf(&b, " [estRows=%.1f estCost=%.2f]", n.EstRows, n.EstCost)
-		if n.ActualRows > 0 || n.ActualCost > 0 {
-			fmt.Fprintf(&b, " [rows=%.0f cost=%.2f]", n.ActualRows, n.ActualCost)
-		}
 		b.WriteByte('\n')
 		for _, c := range n.Children {
 			visit(c, depth+1)

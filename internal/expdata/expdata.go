@@ -73,10 +73,11 @@ type ExecutedPlan struct {
 	// Plan carries the optimizer's estimates (the only information
 	// available at inference time).
 	Plan *plan.Plan
-	// Executed is the annotated copy with per-operator actual rows and
-	// costs from one execution — the supervision production telemetry
-	// exposes, used by the operator-level regressor baseline.
-	Executed *plan.Plan
+	// Actuals are the per-operator actual rows and costs of one execution,
+	// in the pre-order of Plan.Root.Walk: the supervision production
+	// telemetry exposes, used by the operator-level regressor baseline.
+	// Nil when the plan's operators were never measured.
+	Actuals []exec.Actual
 	// Cost is the median measured execution cost (the label source).
 	Cost float64
 	// Configs lists fingerprints of configurations that produced this plan.
@@ -259,7 +260,7 @@ func Collect(w *workload.Workload, o CollectOpts) (*Dataset, error) {
 					continue
 				}
 				ep := &ExecutedPlan{
-					DB: w.Name, Query: q, Plan: p, Executed: first.Annotated,
+					DB: w.Name, Query: q, Plan: p, Actuals: first.Actuals,
 					Cost: cost, Configs: []string{cfg.Fingerprint()},
 				}
 				seenPlans[fp] = ep

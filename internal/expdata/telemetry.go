@@ -131,67 +131,3 @@ func (r *PlanRecord) ChannelVectors(names []string, dim int) (vs [][]float64, pa
 	}
 	return vs, padded, nil
 }
-
-// TelemetryPairs reconstructs labeled training vectors from telemetry:
-// plans of the same (db, query) are paired, the pair vector is computed
-// from the stored channel vectors with the given featurizer configuration,
-// and the label from the stored costs. Returns the feature matrix, labels,
-// and group keys (db + "/" + query) for grouped splitting.
-func TelemetryPairs(recs []PlanRecord, f *feat.Featurizer, alpha float64, maxPerQuery int) (X [][]float64, y []int, groups []string, err error) {
-	type key struct{ db, q string }
-	byQuery := map[key][]*PlanRecord{}
-	var order []key
-	for i := range recs {
-		k := key{recs[i].DB, recs[i].Query}
-		if _, ok := byQuery[k]; !ok {
-			order = append(order, k)
-		}
-		byQuery[k] = append(byQuery[k], &recs[i])
-	}
-	chNames := make([]string, len(f.Channels))
-	for i, c := range f.Channels {
-		chNames[i] = c.String()
-	}
-	for _, k := range order {
-		plans := byQuery[k]
-		emitted := 0
-		for i := 0; i < len(plans); i++ {
-			for j := 0; j < len(plans); j++ {
-				if i == j {
-					continue
-				}
-				if maxPerQuery > 0 && emitted >= maxPerQuery {
-					break
-				}
-				v, perr := pairFromRecords(plans[i], plans[j], f, chNames)
-				if perr != nil {
-					return nil, nil, nil, perr
-				}
-				X = append(X, v)
-				y = append(y, int(LabelOf(plans[i].Cost, plans[j].Cost, alpha)))
-				groups = append(groups, k.db+"/"+k.q)
-				emitted++
-			}
-		}
-	}
-	return X, y, groups, nil
-}
-
-// pairFromRecords combines two telemetry records into a pair vector using
-// the stored per-channel plan vectors.
-func pairFromRecords(a, b *PlanRecord, f *feat.Featurizer, chNames []string) ([]float64, error) {
-	var v1s, v2s [][]float64
-	for _, name := range chNames {
-		v1, ok1 := a.Channels[name]
-		v2, ok2 := b.Channels[name]
-		if !ok1 || !ok2 {
-			return nil, fmt.Errorf("expdata: telemetry record missing channel %q", name)
-		}
-		if len(v1) != len(v2) {
-			return nil, fmt.Errorf("expdata: channel %q dimension mismatch (%d vs %d)", name, len(v1), len(v2))
-		}
-		v1s = append(v1s, v1)
-		v2s = append(v2s, v2)
-	}
-	return f.PairFromVectors(v1s, v2s, a.EstTotalCost, b.EstTotalCost), nil
-}

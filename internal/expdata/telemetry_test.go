@@ -6,8 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/feat"
-	"repro/internal/util"
-	"repro/internal/workload"
 )
 
 func TestTelemetryRoundTrip(t *testing.T) {
@@ -47,152 +45,8 @@ func TestTelemetryRoundTrip(t *testing.T) {
 	}
 }
 
-func TestTelemetryPairsMatchDirectFeaturization(t *testing.T) {
-	ds := collectSmall(t)
-	var buf bytes.Buffer
-	f := feat.Default()
-	if err := ExportTelemetry(&buf, ds, f.Channels); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := ImportTelemetry(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	X, y, groups, err := TelemetryPairs(recs, f, DefaultAlpha, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(X) != len(y) || len(X) != len(groups) {
-		t.Fatal("output lengths disagree")
-	}
-	// Compare against direct pair featurization: same ordered pairs in the
-	// same per-query order.
-	direct := ds.Pairs(0, util.NewRNG(1))
-	if len(direct) != len(X) {
-		t.Fatalf("pair counts differ: telemetry %d vs direct %d", len(X), len(direct))
-	}
-	// Index direct pairs by (fp1, fp2) for comparison.
-	type pk struct{ a, b uint64 }
-	directVec := map[pk][]float64{}
-	directLabel := map[pk]Label{}
-	for _, p := range direct {
-		k := pk{p.P1.Plan.Fingerprint(), p.P2.Plan.Fingerprint()}
-		directVec[k] = f.Pair(p.P1.Plan, p.P2.Plan)
-		directLabel[k] = p.Label(DefaultAlpha)
-	}
-	// Re-walk telemetry pairs in TelemetryPairs' emission order
-	// (first-appearance order of queries) and verify vectors equal.
-	checked := 0
-	byFp := map[string][]PlanRecord{}
-	var queryOrder []string
-	for _, r := range recs {
-		if _, ok := byFp[r.Query]; !ok {
-			queryOrder = append(queryOrder, r.Query)
-		}
-		byFp[r.Query] = append(byFp[r.Query], r)
-	}
-	i := 0
-	for _, qn := range queryOrder {
-		plans := byFp[qn]
-		for a := 0; a < len(plans); a++ {
-			for b := 0; b < len(plans); b++ {
-				if a == b {
-					continue
-				}
-				k := pk{plans[a].Fingerprint, plans[b].Fingerprint}
-				want := directVec[k]
-				if want == nil {
-					t.Fatalf("missing direct pair for %s", qn)
-				}
-				got := X[i]
-				for j := range want {
-					if got[j] != want[j] {
-						t.Fatalf("pair vector differs at %s attr %d", qn, j)
-					}
-				}
-				if y[i] != int(directLabel[k]) {
-					t.Fatalf("label differs at %s", qn)
-				}
-				checked++
-				i++
-			}
-		}
-	}
-	if checked == 0 {
-		t.Fatal("nothing compared")
-	}
-}
-
-func TestTelemetryPairsCap(t *testing.T) {
-	ds := collectSmall(t)
-	var buf bytes.Buffer
-	f := feat.Default()
-	if err := ExportTelemetry(&buf, ds, f.Channels); err != nil {
-		t.Fatal(err)
-	}
-	recs, _ := ImportTelemetry(&buf)
-	_, _, groups, err := TelemetryPairs(recs, f, DefaultAlpha, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	perGroup := map[string]int{}
-	for _, g := range groups {
-		perGroup[g]++
-		if perGroup[g] > 5 {
-			t.Fatalf("group %s exceeds cap", g)
-		}
-	}
-}
-
 func TestTelemetryErrors(t *testing.T) {
 	if _, err := ImportTelemetry(strings.NewReader("{bad json")); err == nil {
 		t.Fatal("garbage should fail")
-	}
-	// Missing channel.
-	recs := []PlanRecord{
-		{DB: "d", Query: "q", Cost: 1, Channels: map[string][]float64{"EstNodeCost": {1}}},
-		{DB: "d", Query: "q", Cost: 2, Channels: map[string][]float64{"EstNodeCost": {2}}},
-	}
-	f := feat.Default() // needs LeafWeightEstBytesWeightedSum too
-	if _, _, _, err := TelemetryPairs(recs, f, DefaultAlpha, 0); err == nil {
-		t.Fatal("missing channel should fail")
-	}
-	// Dimension mismatch.
-	recs2 := []PlanRecord{
-		{DB: "d", Query: "q", Cost: 1, Channels: map[string][]float64{"EstNodeCost": {1, 2}, "LeafWeightEstBytesWeightedSum": {1}}},
-		{DB: "d", Query: "q", Cost: 2, Channels: map[string][]float64{"EstNodeCost": {2}, "LeafWeightEstBytesWeightedSum": {1}}},
-	}
-	if _, _, _, err := TelemetryPairs(recs2, f, DefaultAlpha, 0); err == nil {
-		t.Fatal("dimension mismatch should fail")
-	}
-}
-
-func TestTelemetryTrainableEndToEnd(t *testing.T) {
-	// Telemetry records alone must suffice to train a model whose
-	// in-sample accuracy is high — the §2.3 cross-database pipeline.
-	w := workload.Customer("tele-db", 77, 1, 0.05)
-	ds, err := Collect(w, testOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	f := feat.Default()
-	if err := ExportTelemetry(&buf, ds, f.Channels); err != nil {
-		t.Fatal(err)
-	}
-	recs, _ := ImportTelemetry(&buf)
-	X, y, _, err := TelemetryPairs(recs, f, DefaultAlpha, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(X) < 50 {
-		t.Fatalf("too few telemetry pairs: %d", len(X))
-	}
-	classes := map[int]bool{}
-	for _, c := range y {
-		classes[c] = true
-	}
-	if len(classes) < 2 {
-		t.Fatal("telemetry labels degenerate")
 	}
 }

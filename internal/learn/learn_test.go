@@ -1,6 +1,7 @@
 package learn
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/expdata"
 	"repro/internal/feat"
 	"repro/internal/util"
+	"repro/internal/workload"
 )
 
 func newTestRNG(t *testing.T) *util.RNG {
@@ -192,6 +194,115 @@ func TestCompactCapsPairsPerTemplate(t *testing.T) {
 	set := Compact(recs, feat.Default(), Options{MaxPairsPerTemplate: 6})
 	if set.Stats.Pairs != 6 {
 		t.Fatalf("pairs = %d, want the 6-pair cap", set.Stats.Pairs)
+	}
+}
+
+// exportedTelemetry collects execution data for w and round-trips it
+// through the telemetry wire format, as a database emits it.
+func exportedTelemetry(t *testing.T, w *workload.Workload, f *feat.Featurizer) (*expdata.Dataset, []expdata.PlanRecord) {
+	t.Helper()
+	ds, err := expdata.Collect(w, expdata.CollectOpts{Seed: 3, MaxConfigsPerQuery: 6, ExecRepeats: 2, StatsSampleSize: 256, StatsBuckets: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := expdata.ExportTelemetry(&buf, ds, f.Channels); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := expdata.ImportTelemetry(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ds, recs
+}
+
+// TestCompactMatchesDirectFeaturization: pairing exported telemetry yields,
+// bit for bit, the vectors and labels of featurizing the plan pairs
+// themselves, in the same per-query order.
+func TestCompactMatchesDirectFeaturization(t *testing.T) {
+	f := feat.Default()
+	ds, recs := exportedTelemetry(t, workload.TPCH("tpch-small", 1200, 5), f)
+	set := Compact(recs, f, Options{Window: -1, MaxPairsPerTemplate: math.MaxInt})
+	checkAccounting(t, set.Stats)
+	if set.Stats.Used != len(recs) || set.Stats.Padded != 0 {
+		t.Fatalf("stats = %+v, want every well-formed record used as it is", set.Stats)
+	}
+	if len(set.X) != len(set.Y) || len(set.X) != len(set.Groups) {
+		t.Fatal("output lengths disagree")
+	}
+	direct := ds.Pairs(0, util.NewRNG(1))
+	if len(direct) != len(set.X) {
+		t.Fatalf("pair counts differ: telemetry %d vs direct %d", len(set.X), len(direct))
+	}
+	type pk struct{ a, b uint64 }
+	directVec := map[pk][]float64{}
+	directLabel := map[pk]expdata.Label{}
+	for _, p := range direct {
+		k := pk{p.P1.Plan.Fingerprint(), p.P2.Plan.Fingerprint()}
+		directVec[k] = f.Pair(p.P1.Plan, p.P2.Plan)
+		directLabel[k] = p.Label(expdata.DefaultAlpha)
+	}
+	// Re-walk the records in Compact's emission order: queries in first-seen
+	// order, then every ordered pair of the query's records.
+	byQuery := map[string][]expdata.PlanRecord{}
+	var queryOrder []string
+	for _, r := range recs {
+		if _, ok := byQuery[r.Query]; !ok {
+			queryOrder = append(queryOrder, r.Query)
+		}
+		byQuery[r.Query] = append(byQuery[r.Query], r)
+	}
+	i := 0
+	for _, qn := range queryOrder {
+		plans := byQuery[qn]
+		for a := range plans {
+			for b := range plans {
+				if a == b {
+					continue
+				}
+				k := pk{plans[a].Fingerprint, plans[b].Fingerprint}
+				want := directVec[k]
+				if want == nil {
+					t.Fatalf("missing direct pair for %s", qn)
+				}
+				if len(set.X[i]) != len(want) {
+					t.Fatalf("pair %d of %s has %d attributes, want %d", i, qn, len(set.X[i]), len(want))
+				}
+				for j := range want {
+					if math.Float64bits(set.X[i][j]) != math.Float64bits(want[j]) {
+						t.Fatalf("pair vector differs at %s attr %d", qn, j)
+					}
+				}
+				if set.Y[i] != int(directLabel[k]) {
+					t.Fatalf("label differs at %s", qn)
+				}
+				if set.Groups[i] != plans[a].TemplateHash {
+					t.Fatalf("pair %d of %s grouped under %d, want its template %d", i, qn, set.Groups[i], plans[a].TemplateHash)
+				}
+				i++
+			}
+		}
+	}
+	if i == 0 {
+		t.Fatal("nothing compared")
+	}
+}
+
+// TestTelemetryTrainableEndToEnd: telemetry records alone yield enough
+// labeled pairs, of more than one class, to train on — the §2.3
+// cross-database pipeline.
+func TestTelemetryTrainableEndToEnd(t *testing.T) {
+	_, recs := exportedTelemetry(t, workload.Customer("tele-db", 77, 1, 0.05), feat.Default())
+	set := Compact(recs, feat.Default(), Options{Window: -1, MaxPairsPerTemplate: 40})
+	if len(set.X) < 50 {
+		t.Fatalf("too few telemetry pairs: %d", len(set.X))
+	}
+	classes := map[int]bool{}
+	for _, c := range set.Y {
+		classes[c] = true
+	}
+	if len(classes) < 2 {
+		t.Fatal("telemetry labels degenerate")
 	}
 }
 

@@ -101,7 +101,7 @@ func (c *Classifier) Train(pairs []expdata.Pair) error {
 }
 
 // TrainVectors fits the base learner on pre-featurized pair vectors (the
-// telemetry training path: vectors come from expdata.TelemetryPairs).
+// telemetry training path: vectors come from learn.Compact).
 func (c *Classifier) TrainVectors(X [][]float64, y []int) error {
 	if len(X) == 0 {
 		return fmt.Errorf("models: no training vectors")
@@ -212,14 +212,4 @@ func NewOptimizerBaseline(alpha float64) *OptimizerBaseline {
 // Compare implements Comparator.
 func (o *OptimizerBaseline) Compare(p1, p2 *plan.Plan) expdata.Label {
 	return expdata.LabelOf(p1.EstTotalCost, p2.EstTotalCost, o.Alpha)
-}
-
-// CompareBatch implements BatchComparator; estimate comparison has no
-// batched inference to exploit, so this is the sequential loop.
-func (o *OptimizerBaseline) CompareBatch(pairs []PlanPair, out []expdata.Label) []expdata.Label {
-	out = growLabels(out, len(pairs))
-	for i, p := range pairs {
-		out[i] = o.Compare(p.P1, p.P2)
-	}
-	return out
 }

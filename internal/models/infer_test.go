@@ -80,7 +80,7 @@ func TestCompareBatchMatchesSequential(t *testing.T) {
 			t.Fatalf("pair %d: batch=%v all=%v want %v", i, batch[i], viaAll[i], want)
 		}
 	}
-	// The optimizer baseline batches too.
+	// The optimizer baseline has no batched path: CompareAll loops Compare.
 	ob := NewOptimizerBaseline(0.2)
 	obBatch := CompareAll(ob, pairs, nil)
 	for i, p := range pairs {

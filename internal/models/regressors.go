@@ -109,12 +109,15 @@ func (r *OperatorRegressor) Train(plans []*expdata.ExecutedPlan) error {
 	y := map[plan.Op][]float64{}
 	var totalCost, totalNodes float64
 	for _, ep := range plans {
-		src := ep.Executed
-		if src == nil {
-			src = ep.Plan
-		}
-		src.Root.Walk(func(n *plan.Node) {
-			nodeCost := n.ActualCost
+		// ep.Actuals follows Walk's pre-order. A node without a measured
+		// cost is supervised by its estimated share of the plan's cost.
+		i := 0
+		ep.Plan.Root.Walk(func(n *plan.Node) {
+			var nodeCost float64
+			if i < len(ep.Actuals) {
+				nodeCost = ep.Actuals[i].Cost
+			}
+			i++
 			if nodeCost <= 0 {
 				nodeCost = n.EstCost * ep.Cost / math.Max(ep.Plan.EstTotalCost, 1e-9)
 			}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -62,9 +63,16 @@ type JobStatus struct {
 	Result     any        `json:"result,omitempty"`
 }
 
+// maxFinishedJobs bounds how many finished jobs, with their results, the
+// table keeps for clients to poll. Past it the job that finished longest
+// ago is forgotten and answers 404; queued and running jobs are never
+// dropped.
+const maxFinishedJobs = 1024
+
 // job is one asynchronous unit of work.
 type job struct {
 	id     string
+	seq    int // submission order
 	tenant string
 	run    func(ctx context.Context) (any, error)
 
@@ -108,11 +116,12 @@ type jobs struct {
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 
-	mu      sync.Mutex
-	byID    map[string]*job
-	order   []string
-	nextID  int
-	closing bool
+	mu   sync.Mutex
+	byID map[string]*job
+	// finished holds the terminal jobs still in byID, oldest first.
+	finished []*job
+	nextID   int
+	closing  bool
 }
 
 // newJobs starts a manager with the given worker count, per-tenant queue
@@ -162,7 +171,6 @@ func (m *jobs) execute(j *job) {
 	result, err := j.run(j.ctx)
 
 	j.mu.Lock()
-	defer j.mu.Unlock()
 	j.finished = time.Now()
 	mJobLatency.Observe(j.finished.Sub(j.started).Seconds())
 	switch {
@@ -179,6 +187,22 @@ func (m *jobs) execute(j *job) {
 		j.err = err.Error()
 		mJobsFailed.Inc()
 	}
+	j.mu.Unlock()
+	m.retire(j)
+}
+
+// retire records that j reached a terminal state and forgets the finished
+// jobs beyond maxFinishedJobs, the one that finished longest ago first.
+// Callers must not hold j.mu: the table lock is taken before job locks.
+func (m *jobs) retire(j *job) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.finished = append(m.finished, j)
+	if len(m.finished) > maxFinishedJobs {
+		delete(m.byID, m.finished[0].id)
+		m.finished[0] = nil
+		m.finished = m.finished[1:]
+	}
 }
 
 // submit enqueues fn on tenantID's queue. It never blocks: a full tenant
@@ -194,6 +218,7 @@ func (m *jobs) submit(tenantID string, fn func(ctx context.Context) (any, error)
 	ctx, cancel := context.WithCancelCause(m.baseCtx)
 	j := &job{
 		id:      fmt.Sprintf("job-%06d", m.nextID),
+		seq:     m.nextID,
 		tenant:  tenantID,
 		run:     fn,
 		ctx:     ctx,
@@ -214,7 +239,6 @@ func (m *jobs) submit(tenantID string, fn func(ctx context.Context) (any, error)
 		}
 	}
 	m.byID[j.id] = j
-	m.order = append(m.order, j.id)
 	mJobsSubmitted.Inc()
 	return j, nil
 }
@@ -226,22 +250,21 @@ func (m *jobs) get(id string) *job {
 	return m.byID[id]
 }
 
-// list snapshots every job's status in submission order; tenantID filters
-// to one tenant ("" = all).
+// list snapshots the status of every job in the table in submission
+// order; tenantID filters to one tenant ("" = all).
 func (m *jobs) list(tenantID string) []JobStatus {
 	m.mu.Lock()
-	ids := append([]string(nil), m.order...)
-	byID := make([]*job, 0, len(ids))
-	for _, id := range ids {
-		byID = append(byID, m.byID[id])
+	js := make([]*job, 0, len(m.byID))
+	for _, j := range m.byID {
+		if tenantID == "" || j.tenant == tenantID {
+			js = append(js, j)
+		}
 	}
 	m.mu.Unlock()
-	out := make([]JobStatus, 0, len(byID))
-	for _, j := range byID {
-		if tenantID != "" && j.tenant != tenantID {
-			continue
-		}
-		out = append(out, j.status())
+	slices.SortFunc(js, func(a, b *job) int { return a.seq - b.seq })
+	out := make([]JobStatus, len(js))
+	for i, j := range js {
+		out[i] = j.status()
 	}
 	return out
 }
@@ -263,17 +286,28 @@ func (m *jobs) cancelJob(j *job) bool {
 		mJobsCancelled.Inc()
 	}
 	j.mu.Unlock()
+	if wasQueued {
+		m.retire(j)
+	}
 	// Cancel the context outside the job lock: a running job's tuner
 	// observes it and returns; execute() then marks the terminal state.
 	j.cancel()
 	return true
 }
 
-// counts tallies jobs by state for /healthz.
+// counts tallies the table's jobs by state for /healthz; tenantID filters
+// to one tenant ("" = all).
 func (m *jobs) counts(tenantID string) map[JobState]int {
 	out := map[JobState]int{}
-	for _, st := range m.list(tenantID) {
-		out[st.State]++
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, j := range m.byID {
+		if tenantID != "" && j.tenant != tenantID {
+			continue
+		}
+		j.mu.Lock()
+		out[j.state]++
+		j.mu.Unlock()
 	}
 	return out
 }

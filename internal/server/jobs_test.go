@@ -3,8 +3,12 @@ package server
 import (
 	"context"
 	"errors"
+	"maps"
+	"net/http"
 	"testing"
 	"time"
+
+	"repro/internal/tenant"
 )
 
 // waitState polls a job until it reaches a terminal state.
@@ -171,5 +175,78 @@ func TestDrainDeadlineCancelsStragglers(t *testing.T) {
 	}
 	if st := j.status().State; st != JobCancelled {
 		t.Fatalf("straggler state = %s, want cancelled", st)
+	}
+}
+
+// TestJobTableKeepsBoundedFinishedJobs submits more jobs than the table
+// keeps finished: the job that finished longest ago answers 404, a
+// long-running first job survives, and /healthz tallies the jobs GET
+// /v1/jobs lists.
+func TestJobTableKeepsBoundedFinishedJobs(t *testing.T) {
+	s := newTestServer(t, func(c *Config) { c.Workers = 2 })
+	addr, err := s.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown(context.Background())
+	base := "http://" + addr
+
+	release := make(chan struct{})
+	defer close(release) // runs before Shutdown, whose drain waits for the job
+	long, err := s.jobs.submit(tenant.DefaultID, func(context.Context) (any, error) {
+		<-release
+		return "long", nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const extra = 5
+	var fast []*job
+	for i := 0; i < maxFinishedJobs+extra; i++ {
+		// One job at a time, so they finish in submission order and the
+		// tenant's queue never fills.
+		j, err := s.jobs.submit(tenant.DefaultID, func(context.Context) (any, error) { return i, nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := waitState(t, j); st != JobDone {
+			t.Fatalf("job %s: state %s", j.id, st)
+		}
+		fast = append(fast, j)
+	}
+
+	var st JobStatus
+	if code := doJSON(t, http.MethodGet, base+"/v1/jobs/"+fast[extra-1].id, nil, nil); code != http.StatusNotFound {
+		t.Fatalf("GET the oldest finished job: %d, want 404", code)
+	}
+	if code := doJSON(t, http.MethodGet, base+"/v1/jobs/"+fast[extra].id, nil, &st); code != http.StatusOK || st.State != JobDone {
+		t.Fatalf("GET the oldest kept job: %d %s, want 200 done", code, st.State)
+	}
+	if code := doJSON(t, http.MethodGet, base+"/v1/jobs/"+long.id, nil, &st); code != http.StatusOK || st.State != JobRunning {
+		t.Fatalf("GET the long-running job: %d %s, want 200 running", code, st.State)
+	}
+
+	var health struct {
+		Jobs map[JobState]int `json:"jobs"`
+	}
+	if code := doJSON(t, http.MethodGet, base+"/healthz", nil, &health); code != http.StatusOK {
+		t.Fatalf("healthz: %d", code)
+	}
+	var list struct {
+		Jobs []JobStatus `json:"jobs"`
+	}
+	if code := doJSON(t, http.MethodGet, base+"/v1/jobs", nil, &list); code != http.StatusOK {
+		t.Fatalf("GET /v1/jobs: %d", code)
+	}
+	listed := map[JobState]int{}
+	for _, j := range list.Jobs {
+		listed[j.State]++
+	}
+	want := map[JobState]int{JobRunning: 1, JobDone: maxFinishedJobs}
+	if !maps.Equal(health.Jobs, want) || !maps.Equal(listed, want) {
+		t.Fatalf("healthz tallies %v, GET /v1/jobs lists %v, want %v", health.Jobs, listed, want)
+	}
+	if list.Jobs[0].ID != long.id || list.Jobs[1].ID != fast[extra].id {
+		t.Fatalf("GET /v1/jobs starts %s, %s; want submission order from %s, %s", list.Jobs[0].ID, list.Jobs[1].ID, long.id, fast[extra].id)
 	}
 }

@@ -109,12 +109,12 @@ func (c *Continuous) measureOne(q *query.Query, cfg *catalog.Configuration, rng 
 		return nil, err
 	}
 	ep := &expdata.ExecutedPlan{
-		DB:       c.Exec.DB.Schema.Name,
-		Query:    q,
-		Plan:     p,
-		Executed: first.Annotated,
-		Cost:     cost,
-		Configs:  []string{cfg.Fingerprint()},
+		DB:      c.Exec.DB.Schema.Name,
+		Query:   q,
+		Plan:    p,
+		Actuals: first.Actuals,
+		Cost:    cost,
+		Configs: []string{cfg.Fingerprint()},
 	}
 	return ep, nil
 }

@@ -73,6 +73,33 @@ code="$(curl -s -o /dev/null -w '%{http_code}' "http://$addr/v1/classify" -d '{"
 # Metrics are served from the same process.
 curl -sf -o /dev/null "http://$addr/metrics" || fail "metrics unreachable"
 
+# ---- tune job round trip ----
+# The README's walkthrough: submit a tune job, follow its Location header,
+# poll until it is done, and check that /healthz counts it.
+loc="$(curl -sf -D - -o /dev/null "http://$addr/v1/jobs/tune" -d '{"queries":["q1","q6"]}' |
+    tr -d '\r' | sed -n 's#^[Ll]ocation: ##p')" || fail "tune job submission failed"
+[ -n "$loc" ] || fail "tune job submission returned no Location header"
+echo "tune job: $loc"
+job=""
+for _ in $(seq 1 240); do
+    job="$(curl -sf "http://$addr$loc")" || fail "job $loc unreachable"
+    case "$job" in
+    *'"state": "done"'*) break ;;
+    *'"state": "failed"'* | *'"state": "cancelled"'*) fail "tune job did not finish: $job" ;;
+    esac
+    sleep 0.5
+done
+case "$job" in
+*'"state": "done"'*) ;;
+*) fail "tune job never finished: $job" ;;
+esac
+echo "tune job result: $job"
+health="$(curl -sf "http://$addr/healthz")" || fail "healthz unreachable after the job"
+case "$health" in
+*'"done": 1'*) ;;
+*) fail "healthz does not count the finished job: $health" ;;
+esac
+
 # ---- online learning round trip ----
 # Ingest synthetic telemetry (4 templates × 5 plans, cost tracking the
 # channel mass), trigger a learning cycle, and poll until the loop trains,
