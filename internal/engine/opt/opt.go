@@ -38,6 +38,7 @@ import (
 	"math/bits"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/engine/catalog"
 	"repro/internal/engine/cost"
@@ -63,28 +64,42 @@ type Optimizer struct {
 	// programming; larger queries use greedy join ordering.
 	DPTableLimit int
 
-	// byFP holds one per-query analysis (validation, fingerprint, table
-	// ordinals, per-table predicates and columns, join bitmasks and sort
-	// keys) per distinct query fingerprint. qinfo is the pointer fast path
-	// to it, kept only for the first *query.Query seen per fingerprint, so
-	// a client that re-parses one SQL text per request adds no entry.
-	// Queries are immutable once built.
-	byFP  sync.Map // fingerprint -> *queryInfo
-	qinfo sync.Map // *query.Query -> *queryInfo
+	// analyses holds the per-query analyses (validation, fingerprint,
+	// table ordinals, per-table predicates and columns, join bitmasks and
+	// sort keys), at most maxAnalyses of them (queryInfo).
+	analyses atomic.Pointer[queryAnalyses]
 
 	// planners recycles planner arenas across Optimize calls.
 	planners sync.Pool
 }
 
+// maxAnalyses caps the distinct query fingerprints an optimizer keeps an
+// analysis for. A daemon plans whatever SQL text its clients send; a
+// workload has far fewer queries.
+const maxAnalyses = 4096
+
+// queryAnalyses holds one per-query analysis per distinct query
+// fingerprint in byFP. qinfo is the pointer fast path to it, kept only for
+// the first *query.Query seen per fingerprint, so a client that re-parses
+// one SQL text per request adds no entry. Queries are immutable once
+// built. n counts the fingerprints stored.
+type queryAnalyses struct {
+	byFP  sync.Map // fingerprint -> *queryInfo
+	qinfo sync.Map // *query.Query -> *queryInfo
+	n     atomic.Int32
+}
+
 // New returns an optimizer with the default believed cost model.
 func New(schema *catalog.Schema, st *stats.DatabaseStats) *Optimizer {
-	return &Optimizer{
+	o := &Optimizer{
 		Schema:            schema,
 		Stats:             st,
 		Model:             cost.OptimizerModel(),
 		ParallelThreshold: 20000,
 		DPTableLimit:      10,
 	}
+	o.analyses.Store(new(queryAnalyses))
+	return o
 }
 
 // emptyConfig backs Optimize(q, nil) and WhatIf.Plan(q, nil) so the
@@ -234,18 +249,28 @@ func (o *Optimizer) Relevant(q *query.Query, ix *catalog.Index) bool {
 }
 
 // queryInfo returns the analysis for q, computing it the first time q's
-// fingerprint is seen.
+// fingerprint is seen. An analysis that would be the (maxAnalyses+1)th
+// first replaces both maps with empty ones, by one swap of o.analyses. An
+// analysis is a pure function of the query and the schema, so one dropped
+// costs only its re-analysis.
 func (o *Optimizer) queryInfo(q *query.Query) *queryInfo {
-	if v, ok := o.qinfo.Load(q); ok {
+	a := o.analyses.Load()
+	if v, ok := a.qinfo.Load(q); ok {
 		return v.(*queryInfo)
 	}
 	fp := q.Fingerprint()
-	if v, ok := o.byFP.Load(fp); ok {
+	if v, ok := a.byFP.Load(fp); ok {
 		return v.(*queryInfo)
 	}
-	v, loaded := o.byFP.LoadOrStore(fp, o.analyze(q, fp))
+	qi := o.analyze(q, fp)
+	if a.n.Add(1) > maxAnalyses {
+		o.analyses.CompareAndSwap(a, new(queryAnalyses)) // a racing caller may have swapped first
+		a = o.analyses.Load()
+		a.n.Add(1)
+	}
+	v, loaded := a.byFP.LoadOrStore(fp, qi)
 	if !loaded {
-		o.qinfo.Store(q, v)
+		a.qinfo.Store(q, v)
 	}
 	return v.(*queryInfo)
 }

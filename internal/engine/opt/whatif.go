@@ -13,7 +13,7 @@ import (
 
 // Pre-resolved metric handles (see DESIGN.md §7). A "hit" found a completed
 // plan; a "wait" joined another caller's in-flight optimization
-// (singleflight); a "miss" paid for an Optimize.
+// (singleflight); a "miss" paid for an Optimize; an "evict" made room.
 var (
 	mCacheHit   = obs.C("whatif.cache.hit")
 	mCacheMiss  = obs.C("whatif.cache.miss")
@@ -28,6 +28,11 @@ var (
 // whatIfShards is the number of cache shards. Sharding keeps lock hold
 // times short when a parallel tuner issues many concurrent probes.
 const whatIfShards = 16
+
+// whatIfNodeBudget bounds the plan nodes a cache holds (nodes, since a
+// many-way join plan has many), split evenly over its shards: 5× the 51k
+// nodes a cold tune job on the benchmark's cust9 caches, about 50 MiB.
+const whatIfNodeBudget = 1 << 18
 
 // WhatIf wraps an Optimizer with a plan cache keyed by (query fingerprint,
 // fingerprint of the configuration's indexes relevant to the query). Index
@@ -51,26 +56,27 @@ const whatIfShards = 16
 // It is safe for concurrent use: the cache is sharded to cut lock
 // contention, and concurrent misses on the same key are deduplicated
 // singleflight-style so Optimize runs once per key, not once per caller.
+// It is always bounded by whatIfNodeBudget and evicts by CLOCK
+// (insertLocked). A plan is a pure function of (query, configuration,
+// statistics), so an eviction changes a later call's time, never its answer.
 type WhatIf struct {
 	Opt *Optimizer
 
-	// MaxEntries optionally bounds the number of cached plans (0 = no
-	// bound). When the bound is exceeded, the oldest completed entries are
-	// evicted first. Continuous tuners that run indefinitely should set a
-	// bound so the cache cannot grow without limit. Set before first use.
-	MaxEntries int
-
-	shards [whatIfShards]whatIfShard
-	calls  atomic.Int64
-	hits   atomic.Int64
+	shardNodes int // each shard's share of whatIfNodeBudget; tests lower it
+	shards     [whatIfShards]whatIfShard
+	calls      atomic.Int64
+	hits       atomic.Int64
 }
 
+// whatIfShard is one lock's share of the cache: completed plans, the misses
+// in flight (so a cached plan carries no wait state and a failed call leaves
+// only flight), the plan the CLOCK hand last passed, and the plans' nodes.
 type whatIfShard struct {
-	mu      sync.Mutex
-	entries map[whatIfKey]*whatIfEntry
-	// order records insertion order for FIFO eviction; it may hold stale
-	// keys (evicted or error-removed), which eviction skips.
-	order []whatIfKey
+	mu     sync.Mutex
+	plans  map[whatIfKey]*whatIfEntry
+	flight map[whatIfKey]*whatIfCall
+	hand   *whatIfEntry
+	nodes  int
 }
 
 type whatIfKey struct {
@@ -78,28 +84,26 @@ type whatIfKey struct {
 	configFP string
 }
 
-// whatIfEntry is one cache slot. done is closed when the owning call's
-// Optimize completes; p/err must only be read after done is closed.
+// whatIfEntry is one cached plan, linked into its shard's CLOCK ring.
 type whatIfEntry struct {
-	done chan struct{}
-	p    *plan.Plan
-	err  error
+	key   whatIfKey
+	p     *plan.Plan
+	next  *whatIfEntry
+	nodes int
+	ref   bool // set by a hit, cleared when the hand passes
+}
+
+// whatIfCall is a miss in flight; p and err may be read once wg.Wait returns.
+type whatIfCall struct {
+	wg  sync.WaitGroup
+	p   *plan.Plan
+	err error
 }
 
 // NewWhatIf returns a caching what-if facade over the optimizer.
 func NewWhatIf(o *Optimizer) *WhatIf {
-	w := &WhatIf{Opt: o}
-	for i := range w.shards {
-		w.shards[i].entries = map[whatIfKey]*whatIfEntry{}
-	}
-	return w
-}
-
-// NewWhatIfBounded returns a caching facade holding at most maxEntries
-// plans, evicting oldest-first beyond the bound.
-func NewWhatIfBounded(o *Optimizer, maxEntries int) *WhatIf {
-	w := NewWhatIf(o)
-	w.MaxEntries = maxEntries
+	w := &WhatIf{Opt: o, shardNodes: whatIfNodeBudget / whatIfShards}
+	w.Reset()
 	return w
 }
 
@@ -126,104 +130,98 @@ func (w *WhatIf) Plan(q *query.Query, cfg *catalog.Configuration) (*plan.Plan, e
 	w.calls.Add(1)
 
 	sh.mu.Lock()
-	if e, ok := sh.entries[key]; ok {
+	if e, ok := sh.plans[key]; ok {
+		e.ref = true
 		sh.mu.Unlock()
-		select {
-		case <-e.done:
-			mCacheHit.Inc()
-		default:
-			mCacheWait.Inc()
-			<-e.done
-		}
-		if e.err != nil {
-			// The owning call failed and removed the entry; surface the
-			// same error rather than retrying under this call.
-			return nil, e.err
-		}
-		w.hits.Add(1)
-		if fp := cfg.Fingerprint(); fp != e.p.ConfigFP {
-			// Planned under a configuration that differs from cfg only in
-			// indexes the query cannot use: same plan, cfg's name.
-			cp := *e.p
-			cp.ConfigFP = fp
-			return &cp, nil
-		}
-		return e.p, nil
+		mCacheHit.Inc()
+		return w.hit(e.p, cfg), nil
 	}
-	e := &whatIfEntry{done: make(chan struct{})}
-	sh.entries[key] = e
-	sh.order = append(sh.order, key)
-	mCacheMiss.Inc()
-	mEntries.Add(1)
-	mShardMax.Max(float64(len(sh.entries)))
-	sh.evictLocked(w.MaxEntries)
+	if c, ok := sh.flight[key]; ok {
+		sh.mu.Unlock()
+		mCacheWait.Inc()
+		c.wg.Wait()
+		if c.err != nil {
+			return nil, c.err // the owning call failed: no retry under this one
+		}
+		return w.hit(c.p, cfg), nil
+	}
+	c := new(whatIfCall)
+	c.wg.Add(1)
+	sh.flight[key] = c
 	sh.mu.Unlock()
+	mCacheMiss.Inc()
 
 	t0 := mProbeLat.Start()
-	p, err := w.Opt.Optimize(q, cfg)
+	c.p, c.err = w.Opt.Optimize(q, cfg)
 	mProbeLat.Stop(t0)
-	if err != nil {
+	if c.err != nil {
 		mProbeErr.Inc()
-		// Do not cache failures: remove the slot so later calls retry.
-		sh.mu.Lock()
-		if sh.entries[key] == e {
-			delete(sh.entries, key)
-			mEntries.Add(-1)
-		}
-		sh.mu.Unlock()
-		e.err = err
-		close(e.done)
-		return nil, err
 	}
-	e.p = p
-	close(e.done)
-	return p, nil
+	w.settle(sh, key, c)
+	return c.p, c.err
 }
 
-// evictLocked drops the oldest completed entries until the shard is within
-// its share of the bound. In-flight entries are never evicted.
-func (sh *whatIfShard) evictLocked(maxEntries int) {
-	if maxEntries <= 0 {
+// hit counts a call served without an Optimize and returns p under cfg's
+// fingerprint: a shallow copy sharing Root when p was planned for a
+// configuration that differs from cfg in indexes the query cannot use.
+func (w *WhatIf) hit(p *plan.Plan, cfg *catalog.Configuration) *plan.Plan {
+	w.hits.Add(1)
+	if fp := cfg.Fingerprint(); fp != p.ConfigFP {
+		cp := *p
+		cp.ConfigFP = fp
+		return &cp
+	}
+	return p
+}
+
+// settle ends the miss c and wakes its waiters. Unless Reset has dropped c
+// from the in-flight map meanwhile, c leaves that map and its plan is
+// cached. Failures are not cached, so a later call retries.
+func (w *WhatIf) settle(sh *whatIfShard, key whatIfKey, c *whatIfCall) {
+	sh.mu.Lock()
+	if sh.flight[key] == c {
+		delete(sh.flight, key)
+		if c.err == nil {
+			sh.insertLocked(key, c.p, w.shardNodes)
+		}
+	}
+	sh.mu.Unlock()
+	c.wg.Done()
+}
+
+// insertLocked caches p under key. While the plans and p exceed budget
+// nodes the hand advances, clearing set reference bits and evicting the
+// first plan without one; each bit it clears was set by a hit, so an insert
+// is O(1) amortized. A plan larger than budget is returned but not cached.
+func (sh *whatIfShard) insertLocked(key whatIfKey, p *plan.Plan, budget int) {
+	n, _, _ := countNodes(p.Root)
+	if n > budget {
 		return
 	}
-	perShard := maxEntries / whatIfShards
-	if perShard < 1 {
-		perShard = 1
-	}
-	for len(sh.entries) > perShard && len(sh.order) > 0 {
-		evicted := false
-		for i, k := range sh.order {
-			e, ok := sh.entries[k]
-			if !ok {
-				continue // stale: already evicted or removed on error
-			}
-			select {
-			case <-e.done:
-			default:
-				continue // in flight: a caller still depends on the slot
-			}
-			delete(sh.entries, k)
-			sh.order = append(sh.order[:i:i], sh.order[i+1:]...)
-			mCacheEvict.Inc()
-			mEntries.Add(-1)
-			evicted = true
-			break
+	for sh.nodes+n > budget {
+		e := sh.hand.next
+		if e.ref {
+			e.ref = false
+			sh.hand = e
+			continue
 		}
-		if !evicted {
-			return // everything left is in flight
-		}
+		sh.hand.next = e.next
+		delete(sh.plans, e.key)
+		sh.nodes -= e.nodes
+		mCacheEvict.Inc()
+		mEntries.Add(-1)
 	}
-	if len(sh.entries) <= perShard {
-		// Compact fully-stale prefixes so order cannot grow unboundedly.
-		i := 0
-		for i < len(sh.order) {
-			if _, ok := sh.entries[sh.order[i]]; ok {
-				break
-			}
-			i++
-		}
-		sh.order = sh.order[i:]
+	e := &whatIfEntry{key: key, p: p, nodes: n}
+	if len(sh.plans) == 0 {
+		e.next = e // a lone plan's ring is itself
+	} else {
+		e.next, sh.hand.next = sh.hand.next, e
 	}
+	sh.hand = e // the new plan is the last the hand reaches
+	sh.plans[key] = e
+	sh.nodes += n
+	mEntries.Add(1)
+	mShardMax.Max(float64(len(sh.plans)))
 }
 
 // Stats reports cache calls and hits, for tuner overhead accounting. A call
@@ -235,15 +233,16 @@ func (w *WhatIf) Stats() (calls, hits int) {
 
 // Reset clears the cache (used between tuning iterations when statistics
 // change). In-flight optimizations complete and are delivered to their
-// waiters but are not re-inserted.
+// waiters but are not re-inserted (settle), and a later call plans afresh.
 func (w *WhatIf) Reset() {
 	var dropped int
 	for i := range w.shards {
 		sh := &w.shards[i]
 		sh.mu.Lock()
-		dropped += len(sh.entries)
-		sh.entries = map[whatIfKey]*whatIfEntry{}
-		sh.order = nil
+		dropped += len(sh.plans)
+		sh.plans = map[whatIfKey]*whatIfEntry{}
+		sh.flight = map[whatIfKey]*whatIfCall{}
+		sh.hand, sh.nodes = nil, 0
 		sh.mu.Unlock()
 	}
 	mEntries.Add(-float64(dropped))

@@ -258,13 +258,9 @@ func (l *Loop) Status() Status {
 // path). Exactly one cycle runs at a time; a second trigger while one is in
 // flight returns ErrCycleRunning.
 func (l *Loop) TriggerAsync(trigger string) error {
-	l.mu.Lock()
-	if l.running {
-		l.mu.Unlock()
+	if !l.claim() {
 		return ErrCycleRunning
 	}
-	l.running = true
-	l.mu.Unlock()
 	l.wg.Add(1)
 	go func() {
 		defer l.wg.Done()
@@ -277,27 +273,30 @@ func (l *Loop) TriggerAsync(trigger string) error {
 // returns its report. Returns ErrCycleRunning if a background cycle is in
 // flight.
 func (l *Loop) RunCycle(ctx context.Context, trigger string) (*CycleReport, error) {
-	l.mu.Lock()
-	if l.running {
-		l.mu.Unlock()
+	if !l.claim() {
 		return nil, ErrCycleRunning
 	}
-	l.running = true
-	l.mu.Unlock()
 	return l.runCycleLocked(ctx, trigger), nil
 }
 
 // runSerialized is the ticker's entry: skips the tick when a manual cycle
 // holds the slot.
 func (l *Loop) runSerialized(ctx context.Context, trigger string) {
+	if l.claim() {
+		l.runCycleLocked(ctx, trigger)
+	}
+}
+
+// claim takes the cycle slot for the caller, reporting false when a cycle
+// already holds it. runCycleLocked gives the slot back.
+func (l *Loop) claim() bool {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.running {
-		l.mu.Unlock()
-		return
+		return false
 	}
 	l.running = true
-	l.mu.Unlock()
-	l.runCycleLocked(ctx, trigger)
+	return true
 }
 
 // dueTrigger evaluates the retrain conditions against the current
@@ -351,7 +350,7 @@ func (l *Loop) dueTrigger() string {
 }
 
 // runCycleLocked executes one cycle; the caller has claimed the running
-// slot. The report is stored as the loop's last cycle and returned.
+// slot (claim). The report is stored as the loop's last cycle and returned.
 func (l *Loop) runCycleLocked(ctx context.Context, trigger string) *CycleReport {
 	start := time.Now()
 	rep := &CycleReport{Trigger: trigger, StartedAt: start}

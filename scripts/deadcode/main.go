@@ -7,7 +7,7 @@
 // interface (heap.Interface's Less, say) is listed too.
 //
 // A listed name passes only when the allowlist names it with a reason, one
-// per line ("opt.NewWhatIfBounded  reason"); a name reads pkg.Func or
+// per line ("btree.Tree.Seek  reason"); a name reads pkg.Func or
 // pkg.Type.Method. An allowlist entry the scan no longer lists fails too,
 // so the list can only shrink.
 //
