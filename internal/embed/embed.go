@@ -234,28 +234,11 @@ func RecordSamples(recs []expdata.PlanRecord, channels []feat.Channel) []Sample 
 		out = append(out, Sample{
 			Vectors:  vs,
 			Est:      r.EstTotalCost,
-			Template: templateOf(r),
+			Template: r.TemplateGroup(),
 			Weight:   r.EffectiveWeight(),
 		})
 	}
 	return out
-}
-
-// templateOf mirrors learn's template grouping: the template hash when the
-// emitter provided one, else a stable hash of (db, query).
-func templateOf(r *expdata.PlanRecord) uint64 {
-	if r.TemplateHash != 0 {
-		return r.TemplateHash
-	}
-	const offset64, prime64 = 14695981039346656037, 1099511628211
-	h := uint64(offset64)
-	for _, s := range []string{r.DB, "\x00", r.Query} {
-		for i := 0; i < len(s); i++ {
-			h ^= uint64(s[i])
-			h *= prime64
-		}
-	}
-	return h
 }
 
 // WorkloadEmbedding is a workload's fixed-dimension summary: the

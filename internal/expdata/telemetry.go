@@ -39,6 +39,27 @@ func (r *PlanRecord) EffectiveWeight() float64 {
 	return r.Weight
 }
 
+// TemplateGroup returns the record's template group: the constant-stripped
+// template hash when the emitting database provided one, else an FNV-1a
+// hash of (db, 0x00, query). Queries that cannot be shown to share a
+// template stay in separate groups, which can only make a split by
+// template stricter. The learning loop's pairs and the workload
+// embedding's samples are grouped by it.
+func (r *PlanRecord) TemplateGroup() uint64 {
+	if r.TemplateHash != 0 {
+		return r.TemplateHash
+	}
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h := uint64(offset64)
+	for _, s := range []string{r.DB, "\x00", r.Query} {
+		for i := 0; i < len(s); i++ {
+			h ^= uint64(s[i])
+			h *= prime64
+		}
+	}
+	return h
+}
+
 // ToRecord featurizes one executed plan into its telemetry form.
 func ToRecord(ep *ExecutedPlan, channels []feat.Channel) PlanRecord {
 	rec := PlanRecord{

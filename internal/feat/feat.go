@@ -318,14 +318,7 @@ func (f *Featurizer) appendPair(out, v1, v2 []float64) []float64 {
 // featurized plans, and cross-database training recombines them without
 // ever seeing raw plan trees. v1s/v2s must follow f.Channels order.
 func (f *Featurizer) PairFromVectors(v1s, v2s [][]float64, estCost1, estCost2 float64) []float64 {
-	return f.AppendPairFromVectors(make([]float64, 0, f.PairDim()), v1s, v2s, estCost1, estCost2)
-}
-
-// AppendPairFromVectors is PairFromVectors with append semantics: the pair
-// attributes are appended to out and the extended slice returned, so a
-// caller batching many pairs can pack them into one flat slab without a
-// per-pair allocation. Bit-identical to PairFromVectors.
-func (f *Featurizer) AppendPairFromVectors(out []float64, v1s, v2s [][]float64, estCost1, estCost2 float64) []float64 {
+	out := make([]float64, 0, f.PairDim())
 	for ci := range v1s {
 		out = f.appendPair(out, v1s[ci], v2s[ci])
 	}

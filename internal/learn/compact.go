@@ -61,12 +61,9 @@ type LabeledSet struct {
 	// summarized from them).
 	Records []compactRecord
 	Stats   CompactStats
-	// FeaturizeSeconds is the time spent materializing X — fingerprinting
-	// plus featurization (near-zero when a TrainSet served its cached rows).
+	// FeaturizeSeconds is the time spent pairing the grouped records:
+	// labeling each pair and featurizing its vector.
 	FeaturizeSeconds float64
-	// Reused reports that X came straight from a TrainSet's previous cycle
-	// (identical pair content, no featurization ran).
-	Reused bool
 }
 
 // compactRecord is one validated, canonicalized record.
@@ -83,14 +80,6 @@ type compactRecord struct {
 // into ordered, α-labeled vectors. Deterministic: records are processed in
 // input order and groups emitted in first-seen order.
 func Compact(recs []expdata.PlanRecord, f *feat.Featurizer, o Options) *LabeledSet {
-	return compactInto(recs, f, o, nil)
-}
-
-// compactInto is Compact with an optional featurization arena: with a
-// TrainSet the pair vectors land in its pooled slab (or, for an unchanged
-// pair sequence, are served straight from the previous cycle); with nil
-// every pair vector is freshly allocated. Identical output either way.
-func compactInto(recs []expdata.PlanRecord, f *feat.Featurizer, o Options, ts *TrainSet) *LabeledSet {
 	o = o.withDefaults()
 	chNames := make([]string, len(f.Channels))
 	for i, c := range f.Channels {
@@ -121,7 +110,7 @@ func compactInto(recs []expdata.PlanRecord, f *feat.Featurizer, o Options, ts *T
 		if padded {
 			set.Stats.Padded++
 		}
-		cr := compactRecord{rec: r, vectors: vs, template: templateKey(r)}
+		cr := compactRecord{rec: r, vectors: vs, template: r.TemplateGroup()}
 		key := planKey(r, vs)
 		if s, ok := byPlan[key]; ok {
 			set.Stats.Deduped++
@@ -156,7 +145,7 @@ func compactInto(recs []expdata.PlanRecord, f *feat.Featurizer, o Options, ts *T
 		groups[k] = append(groups[k], i)
 	}
 	templates := map[uint64]bool{}
-	var refs []pairRef
+	t0 := time.Now()
 	for _, k := range order {
 		idxs := groups[k]
 		templates[live[idxs[0]].template] = true
@@ -171,7 +160,7 @@ func compactInto(recs []expdata.PlanRecord, f *feat.Featurizer, o Options, ts *T
 					break pairs
 				}
 				a, b := &live[i], &live[j]
-				refs = append(refs, pairRef{a: int32(i), b: int32(j)})
+				set.X = append(set.X, f.PairFromVectors(a.vectors, b.vectors, a.rec.EstTotalCost, b.rec.EstTotalCost))
 				lbl := expdata.LabelOf(a.rec.Cost, b.rec.Cost, o.Alpha)
 				set.Y = append(set.Y, int(lbl))
 				set.Groups = append(set.Groups, a.template)
@@ -180,41 +169,14 @@ func compactInto(recs []expdata.PlanRecord, f *feat.Featurizer, o Options, ts *T
 			}
 		}
 	}
-	set.Stats.Templates = len(templates)
-
-	// Featurization, split from pairing so an arena can pool (or skip) it.
-	t0 := time.Now()
-	if ts != nil {
-		set.Reused = ts.materialize(set, f, live, refs)
-	} else if len(refs) > 0 {
-		set.X = make([][]float64, len(refs))
-		for i, pr := range refs {
-			a, b := &live[pr.a], &live[pr.b]
-			set.X[i] = f.PairFromVectors(a.vectors, b.vectors, a.rec.EstTotalCost, b.rec.EstTotalCost)
-		}
-	}
 	set.FeaturizeSeconds = time.Since(t0).Seconds()
 	mFeaturizeLatency.Observe(set.FeaturizeSeconds)
+	set.Stats.Templates = len(templates)
 	set.Stats.Pairs = len(set.X)
 	mCompactSkipped.Add(int64(set.Stats.SkippedCost + set.Stats.SkippedChannels))
 	mCompactDeduped.Add(int64(set.Stats.Deduped))
 	mCompactPairs.Add(int64(set.Stats.Pairs))
 	return set
-}
-
-// templateKey returns the record's template group: the constant-stripped
-// template hash when the emitting database provided one, else a hash of
-// (db, query) — queries we cannot prove share a template stay in separate
-// groups, which can only make the eval split stricter.
-func templateKey(r *expdata.PlanRecord) uint64 {
-	if r.TemplateHash != 0 {
-		return r.TemplateHash
-	}
-	h := fnv.New64a()
-	h.Write([]byte(r.DB))
-	h.Write([]byte{0})
-	h.Write([]byte(r.Query))
-	return h.Sum64()
 }
 
 // planKey identifies a plan for deduplication: the plan fingerprint when

@@ -3,9 +3,12 @@ package learn
 import (
 	"bytes"
 	"fmt"
+	"hash/fnv"
 	"math"
+	"slices"
 	"testing"
 
+	"repro/internal/embed"
 	"repro/internal/engine/plan"
 	"repro/internal/expdata"
 	"repro/internal/feat"
@@ -285,6 +288,39 @@ func TestCompactMatchesDirectFeaturization(t *testing.T) {
 	}
 	if i == 0 {
 		t.Fatal("nothing compared")
+	}
+}
+
+// TestTemplateGroupSharedWithEmbed pins one template-group rule: a record
+// without a TemplateHash groups its pairs in Compact and its sample in
+// embed.RecordSamples under the same value, an FNV-1a hash of (db, 0x00,
+// query).
+func TestTemplateGroupSharedWithEmbed(t *testing.T) {
+	recs := phaseA(&gen{}, 2)
+	for i := range recs {
+		recs[i].TemplateHash = 0
+	}
+	group := func(r *expdata.PlanRecord) uint64 {
+		h := fnv.New64a()
+		h.Write([]byte(r.DB + "\x00" + r.Query))
+		return h.Sum64()
+	}
+	want := []uint64{group(&recs[0]), group(&recs[len(recs)-1])}
+	if want[0] == want[1] {
+		t.Fatal("fixture's two queries share a group")
+	}
+	f := feat.Default()
+	if got := Compact(recs, f, Options{}).templateOrder(); !slices.Equal(got, want) {
+		t.Fatalf("Compact's pair groups %v, want %v", got, want)
+	}
+	samples := embed.RecordSamples(recs, f.Channels)
+	if len(samples) != len(recs) {
+		t.Fatalf("%d samples of %d records", len(samples), len(recs))
+	}
+	for i, s := range samples {
+		if w := group(&recs[i]); s.Template != w {
+			t.Fatalf("sample %d (%s) grouped under %d, want %d", i, recs[i].Query, s.Template, w)
+		}
 	}
 }
 

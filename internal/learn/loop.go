@@ -24,10 +24,8 @@ var (
 	mRejections = obs.C("learn.rejections")
 	mRollbacks  = obs.C("learn.rollbacks")
 	// The train path is timed in three phases — learn.train.featurize (in
-	// compact.go), learn.train.fit, learn.train.eval. learn.train.latency
-	// predates the split and keeps observing the fit phase.
+	// compact.go), learn.train.fit, learn.train.eval.
 	// learn.cycle.snapshot times the telemetry read that opens a cycle.
-	mTrainLatency    = obs.H("learn.train.latency")
 	mFitLatency      = obs.H("learn.train.fit")
 	mEvalLatency     = obs.H("learn.train.eval")
 	mSnapshotLatency = obs.H("learn.cycle.snapshot")
@@ -97,13 +95,10 @@ type CycleReport struct {
 	// the cycle.
 	SnapshotSeconds float64 `json:"snapshot_seconds"`
 	// FeaturizeSeconds/EvalSeconds break the cycle's model work into its
-	// remaining phases: pair-vector materialization during compaction and
+	// remaining phases: pairing and featurization during compaction and
 	// the shadow evaluation (TrainSeconds is the fit).
 	FeaturizeSeconds float64 `json:"featurize_seconds,omitempty"`
 	EvalSeconds      float64 `json:"eval_seconds,omitempty"`
-	// FeaturizeReused marks a cycle whose pair vectors were served from the
-	// loop's training arena without re-featurizing (unchanged pair content).
-	FeaturizeReused bool `json:"featurize_reused,omitempty"`
 }
 
 // MonitorStatus describes a promotion awaiting live confirmation.
@@ -144,14 +139,7 @@ type Loop struct {
 
 	// trainFn builds the challenger; tests inject deliberately bad models
 	// through it to drive the rejection and rollback paths.
-	trainFn func(X [][]float64, y []int, seed int64) (*models.Classifier, error)
-
-	// ts is the loop's featurization arena: training cycles pack their pair
-	// vectors into its pooled slab instead of re-allocating rows every
-	// cycle. Only the serialized cycle body touches it — the trigger and
-	// live-check paths compact into fresh memory, since they can run while
-	// the arena's rows are still referenced by an in-flight cycle.
-	ts *TrainSet
+	trainFn trainFunc
 
 	mu         sync.Mutex
 	running    bool
@@ -175,24 +163,17 @@ type Loop struct {
 func NewLoop(reg *registry.Registry, source Source, keep int, o Options) *Loop {
 	o = o.withDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
-	l := &Loop{
-		opts:   o,
-		f:      o.featurizer(),
-		reg:    reg,
-		source: source,
-		keep:   keep,
-		ts:     NewTrainSet(),
-		ctx:    ctx,
-		cancel: cancel,
+	f := o.featurizer()
+	return &Loop{
+		opts:    o,
+		f:       f,
+		reg:     reg,
+		source:  source,
+		keep:    keep,
+		trainFn: forestTrainer(f, o),
+		ctx:     ctx,
+		cancel:  cancel,
 	}
-	l.trainFn = func(X [][]float64, y []int, seed int64) (*models.Classifier, error) {
-		clf := models.NewClassifier(l.f, models.RFWorkers(o.Trees, seed, o.TrainParallelism), o.Alpha)
-		if err := clf.TrainVectors(X, y); err != nil {
-			return nil, err
-		}
-		return clf, nil
-	}
-	return l
 }
 
 // Start launches the background ticker when Options.Interval is set; each
@@ -405,11 +386,9 @@ func (l *Loop) cycleBody(ctx context.Context, rep *CycleReport, recs []expdata.P
 		}
 	}
 
-	// Stage 1: compaction, featurizing into the loop's pooled arena.
-	set := compactInto(recs, l.f, o, l.ts)
-	rep.Compaction = set.Stats
-	rep.FeaturizeSeconds = set.FeaturizeSeconds
-	rep.FeaturizeReused = set.Reused
+	// Stage 1: compaction.
+	set := Compact(recs, l.f, o)
+	rep.Compaction, rep.FeaturizeSeconds = set.Stats, set.FeaturizeSeconds
 	l.mu.Lock()
 	ref := l.reference
 	embedRef := l.embedRef
@@ -426,45 +405,29 @@ func (l *Loop) cycleBody(ctx context.Context, rep *CycleReport, recs []expdata.P
 			rep.EmbedDrift = d
 		}
 	}
-	if set.Stats.Used < o.MinRecords {
-		rep.Decision = DecisionSkipped
-		rep.Reason = fmt.Sprintf("only %d usable records (need %d)", set.Stats.Used, o.MinRecords)
-		return
-	}
-	if err := ctx.Err(); err != nil {
-		rep.Decision, rep.Reason = DecisionSkipped, "cancelled: "+err.Error()
-		return
-	}
 
-	// Stages 2–4: split, train challenger, shadow-evaluate.
+	// Stages 2–4: the min-records skip, split, train challenger,
+	// shadow-evaluate.
 	var champion *models.Classifier
 	active := l.reg.Models.Active()
 	if active != nil {
 		champion = active.Value
 	}
 	cycleSeed := l.seedForNextCycle()
-	res, err := shadowCycle(ctx, set, champion, l.f, o, l.trainFn, cycleSeed)
-	if err != nil {
-		rep.Decision, rep.Reason = DecisionRejected, err.Error()
-		return
-	}
-	rep.TrainPairs, rep.EvalPairs = res.trainPairs, res.evalPairs
-	rep.Champion, rep.Challenger = res.champion, res.challenger
-	rep.TrainSeconds, rep.EvalSeconds = res.trainSeconds, res.evalSeconds
-	if !res.promote {
-		rep.Decision, rep.Reason = DecisionRejected, res.reason
+	clf := challenge(ctx, rep, set, champion, l.f, o, l.trainFn, cycleSeed)
+	if clf == nil {
 		return
 	}
 	if o.DryRun {
 		rep.Decision = DecisionRejected
-		rep.Reason = "dry run: would promote (" + res.reason + ")"
+		rep.Reason = "dry run: would promote (" + rep.Reason + ")"
 		return
 	}
 
 	// Stage 5: guarded promotion — the challenger goes through the same
 	// serialize/validate/activate path as an uploaded model.
 	var blob bytes.Buffer
-	if err := models.SaveClassifier(res.clf, &blob); err != nil {
+	if err := models.SaveClassifier(clf, &blob); err != nil {
 		rep.Decision, rep.Reason = DecisionRejected, "serializing challenger: "+err.Error()
 		return
 	}
@@ -475,7 +438,6 @@ func (l *Loop) cycleBody(ctx context.Context, rep *CycleReport, recs []expdata.P
 	}
 	rep.ChallengerVersion = v.ID
 	rep.Decision = DecisionPromoted
-	rep.Reason = res.reason
 	mPromotions.Inc()
 	if o.embedMode() {
 		// The embedding side of the promotion: a fresh encoder for the
@@ -492,7 +454,7 @@ func (l *Loop) cycleBody(ctx context.Context, rep *CycleReport, recs []expdata.P
 		l.monitor = &MonitorStatus{
 			PromotedVersion: v.ID,
 			PriorVersion:    active.ID,
-			ShadowAccuracy:  res.challenger.Accuracy,
+			ShadowAccuracy:  rep.Challenger.Accuracy,
 			Watermark:       total,
 		}
 	}
@@ -577,86 +539,101 @@ func (l *Loop) seedForNextCycle() int64 {
 	return l.opts.Seed + int64(n)*1000003
 }
 
-// shadowResult carries a shadow evaluation's outcome.
-type shadowResult struct {
-	trainPairs, evalPairs int
-	champion, challenger  *EvalReport
-	clf                   *models.Classifier
-	promote               bool
-	reason                string
-	trainSeconds          float64
-	evalSeconds           float64
+// trainFunc fits a challenger on training pairs under a cycle's seed.
+type trainFunc func(X [][]float64, y []int, seed int64) (*models.Classifier, error)
+
+// forestTrainer returns the challenger constructor of the loop and of
+// RunOnce: a fresh random forest over f's pair vectors.
+func forestTrainer(f *feat.Featurizer, o Options) trainFunc {
+	return func(X [][]float64, y []int, seed int64) (*models.Classifier, error) {
+		clf := models.NewClassifier(f, models.RFWorkers(o.Trees, seed, o.TrainParallelism), o.Alpha)
+		if err := clf.TrainVectors(X, y); err != nil {
+			return nil, err
+		}
+		return clf, nil
+	}
 }
 
-// shadowCycle runs stages 2–4 on a compacted set: the template-hash split,
-// challenger training, and champion-vs-challenger scoring on the held-out
-// side, ending in the promotion verdict.
-func shadowCycle(ctx context.Context, set *LabeledSet, champion *models.Classifier, f *feat.Featurizer,
-	o Options, trainFn func([][]float64, []int, int64) (*models.Classifier, error), seed int64) (*shadowResult, error) {
+// challenge runs stages 2–4 on a compacted set: the min-records skip, the
+// template-hash split, challenger training, and champion-vs-challenger
+// scoring on the held-out side. It returns the challenger when it earned
+// promotion, with rep's reason set and the promotion left to the caller;
+// otherwise nil, with rep's decision and reason set. rep's split, score
+// and timing fields are filled once the challenger is scored.
+func challenge(ctx context.Context, rep *CycleReport, set *LabeledSet, champion *models.Classifier,
+	f *feat.Featurizer, o Options, train trainFunc, seed int64) *models.Classifier {
+	end := func(decision, reason string) *models.Classifier {
+		rep.Decision, rep.Reason = decision, reason
+		return nil
+	}
+	if set.Stats.Used < o.MinRecords {
+		return end(DecisionSkipped, fmt.Sprintf("only %d usable records (need %d)", set.Stats.Used, o.MinRecords))
+	}
+	if err := ctx.Err(); err != nil {
+		return end(DecisionSkipped, "cancelled: "+err.Error())
+	}
 	rng := util.NewRNG(seed).Split("learn")
 	trainIdx, evalIdx, err := splitByTemplate(set, o.EvalFrac, rng.Split("split"))
 	if err != nil {
-		return nil, err
+		return end(DecisionRejected, err.Error())
 	}
-	res := &shadowResult{trainPairs: len(trainIdx), evalPairs: len(evalIdx)}
 	if len(trainIdx) < o.MinTrainPairs || len(evalIdx) < o.MinEvalPairs {
-		return nil, fmt.Errorf("learn: split too small to judge a challenger (train=%d need %d, eval=%d need %d)",
-			len(trainIdx), o.MinTrainPairs, len(evalIdx), o.MinEvalPairs)
+		return end(DecisionRejected, fmt.Sprintf("learn: split too small to judge a challenger (train=%d need %d, eval=%d need %d)",
+			len(trainIdx), o.MinTrainPairs, len(evalIdx), o.MinEvalPairs))
 	}
 	trainX, trainY := set.subset(trainIdx)
 	evalX, evalY := set.subset(evalIdx)
 
 	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("learn: cancelled before training: %w", err)
+		return end(DecisionRejected, "learn: cancelled before training: "+err.Error())
 	}
 	t0 := time.Now()
-	clf, err := trainFn(trainX, trainY, seed)
+	clf, err := train(trainX, trainY, seed)
 	if err != nil {
-		return nil, fmt.Errorf("learn: training challenger: %w", err)
+		return end(DecisionRejected, "learn: training challenger: "+err.Error())
 	}
-	res.clf = clf
-	res.trainSeconds = time.Since(t0).Seconds()
-	mTrainLatency.Observe(res.trainSeconds)
-	mFitLatency.Observe(res.trainSeconds)
+	trainSeconds := time.Since(t0).Seconds()
+	mFitLatency.Observe(trainSeconds)
 	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("learn: cancelled before evaluation: %w", err)
+		return end(DecisionRejected, "learn: cancelled before evaluation: "+err.Error())
 	}
 
 	if !clf.Feat.ConfigEqual(f) {
-		return nil, fmt.Errorf("learn: challenger featurization differs from the loop's")
+		return end(DecisionRejected, "learn: challenger featurization differs from the loop's")
 	}
 	e0 := time.Now()
-	res.challenger = evalVectors(clf, evalX, evalY)
-	mChallengerAcc.Set(res.challenger.Accuracy)
+	challenger := evalVectors(clf, evalX, evalY)
+	mChallengerAcc.Set(challenger.Accuracy)
+	var champ *EvalReport
 	championComparable := champion != nil && champion.Feat.ConfigEqual(f)
 	if championComparable {
-		res.champion = evalVectors(champion, evalX, evalY)
-		mChampionAcc.Set(res.champion.Accuracy)
-		mEvalDelta.Set(res.challenger.Accuracy - res.champion.Accuracy)
+		champ = evalVectors(champion, evalX, evalY)
+		mChampionAcc.Set(champ.Accuracy)
+		mEvalDelta.Set(challenger.Accuracy - champ.Accuracy)
 	}
-	res.evalSeconds = time.Since(e0).Seconds()
-	mEvalLatency.Observe(res.evalSeconds)
+	rep.EvalSeconds = time.Since(e0).Seconds()
+	mEvalLatency.Observe(rep.EvalSeconds)
+	rep.TrainPairs, rep.EvalPairs = len(trainIdx), len(evalIdx)
+	rep.Champion, rep.Challenger = champ, challenger
+	rep.TrainSeconds = trainSeconds
 
 	switch {
-	case res.challenger.Accuracy < o.MinAccuracy:
-		res.reason = fmt.Sprintf("challenger accuracy %.3f below floor %.2f on %d held-out pairs",
-			res.challenger.Accuracy, o.MinAccuracy, len(evalX))
+	case challenger.Accuracy < o.MinAccuracy:
+		return end(DecisionRejected, fmt.Sprintf("challenger accuracy %.3f below floor %.2f on %d held-out pairs",
+			challenger.Accuracy, o.MinAccuracy, len(evalX)))
 	case champion == nil:
-		res.promote = true
-		res.reason = fmt.Sprintf("no champion; challenger accuracy %.3f meets floor %.2f", res.challenger.Accuracy, o.MinAccuracy)
+		rep.Reason = fmt.Sprintf("no champion; challenger accuracy %.3f meets floor %.2f", challenger.Accuracy, o.MinAccuracy)
 	case !championComparable:
-		res.promote = true
-		res.reason = fmt.Sprintf("champion featurization incomparable; challenger accuracy %.3f meets floor %.2f",
-			res.challenger.Accuracy, o.MinAccuracy)
-	case res.challenger.Accuracy >= res.champion.Accuracy+o.PromoteMargin:
-		res.promote = true
-		res.reason = fmt.Sprintf("challenger %.3f beats champion %.3f by ≥ %.2f on %d held-out pairs",
-			res.challenger.Accuracy, res.champion.Accuracy, o.PromoteMargin, len(evalX))
+		rep.Reason = fmt.Sprintf("champion featurization incomparable; challenger accuracy %.3f meets floor %.2f",
+			challenger.Accuracy, o.MinAccuracy)
+	case challenger.Accuracy >= champ.Accuracy+o.PromoteMargin:
+		rep.Reason = fmt.Sprintf("challenger %.3f beats champion %.3f by ≥ %.2f on %d held-out pairs",
+			challenger.Accuracy, champ.Accuracy, o.PromoteMargin, len(evalX))
 	default:
-		res.reason = fmt.Sprintf("challenger %.3f does not beat champion %.3f by margin %.2f",
-			res.challenger.Accuracy, res.champion.Accuracy, o.PromoteMargin)
+		return end(DecisionRejected, fmt.Sprintf("challenger %.3f does not beat champion %.3f by margin %.2f",
+			challenger.Accuracy, champ.Accuracy, o.PromoteMargin))
 	}
-	return res, nil
+	return clf
 }
 
 // RunOnce is the registry-free single cycle used by the library facade:
@@ -666,38 +643,13 @@ func shadowCycle(ctx context.Context, set *LabeledSet, champion *models.Classifi
 func RunOnce(recs []expdata.PlanRecord, champion *models.Classifier, o Options) (*CycleReport, *models.Classifier, error) {
 	o = o.withDefaults()
 	f := o.featurizer()
-	rep := &CycleReport{Trigger: "once", StartedAt: time.Now()}
+	rep := &CycleReport{Trigger: "once", StartedAt: time.Now(), Records: len(recs)}
 	set := Compact(recs, f, o)
-	rep.Records = len(recs)
-	rep.Compaction = set.Stats
-	rep.FeaturizeSeconds = set.FeaturizeSeconds
-	if set.Stats.Used < o.MinRecords {
-		rep.Decision = DecisionSkipped
-		rep.Reason = fmt.Sprintf("only %d usable records (need %d)", set.Stats.Used, o.MinRecords)
-		rep.FinishedAt = time.Now()
-		return rep, nil, nil
-	}
-	trainFn := func(X [][]float64, y []int, seed int64) (*models.Classifier, error) {
-		clf := models.NewClassifier(f, models.RFWorkers(o.Trees, seed, o.TrainParallelism), o.Alpha)
-		if err := clf.TrainVectors(X, y); err != nil {
-			return nil, err
-		}
-		return clf, nil
-	}
-	res, err := shadowCycle(context.Background(), set, champion, f, o, trainFn, o.Seed)
-	if err != nil {
-		rep.Decision, rep.Reason = DecisionRejected, err.Error()
-		rep.FinishedAt = time.Now()
-		return rep, nil, nil
-	}
-	rep.TrainPairs, rep.EvalPairs = res.trainPairs, res.evalPairs
-	rep.Champion, rep.Challenger = res.champion, res.challenger
-	rep.TrainSeconds, rep.EvalSeconds = res.trainSeconds, res.evalSeconds
+	rep.Compaction, rep.FeaturizeSeconds = set.Stats, set.FeaturizeSeconds
+	clf := challenge(context.Background(), rep, set, champion, f, o, forestTrainer(f, o), o.Seed)
 	rep.FinishedAt = time.Now()
-	if !res.promote {
-		rep.Decision, rep.Reason = DecisionRejected, res.reason
-		return rep, nil, nil
+	if clf != nil {
+		rep.Decision = DecisionPromoted
 	}
-	rep.Decision, rep.Reason = DecisionPromoted, res.reason
-	return rep, res.clf, nil
+	return rep, clf, nil
 }

@@ -1,6 +1,7 @@
 package learn
 
 import (
+	"bytes"
 	"context"
 	"reflect"
 	"sync"
@@ -345,6 +346,51 @@ func TestLoopDeterministic(t *testing.T) {
 		if rep.Decision != wantDecisions[i] {
 			t.Fatalf("cycle %d decision = %s (%s), want %s", i+1, rep.Decision, rep.Reason, wantDecisions[i])
 		}
+	}
+}
+
+// TestLoopTrainParallelismDeterministic runs the full loop lifecycle twice
+// — serial and at parallelism 4 — and requires identical decisions and
+// identical promoted model blobs: the training-parallelism knob must be
+// invisible in every outcome.
+func TestLoopTrainParallelismDeterministic(t *testing.T) {
+	run := func(workers int) ([]CycleReport, []byte) {
+		reg, err := registry.Open("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink := &fakeSink{}
+		o := testLoopOptions(7)
+		o.TrainParallelism = workers
+		loop := NewLoop(reg, sink.snapshot, 0, o)
+		defer loop.Stop()
+		g := &gen{}
+		var reports []CycleReport
+		for _, phase := range [][]expdata.PlanRecord{phaseA(g, 4), phaseB(g, 4)} {
+			sink.add(phase...)
+			rep, err := loop.RunCycle(context.Background(), "test")
+			if err != nil {
+				t.Fatal(err)
+			}
+			reports = append(reports, normalizeReport(rep))
+		}
+		active := reg.Models.Active()
+		if active == nil {
+			t.Fatal("lifecycle should end with an active model")
+		}
+		var blob bytes.Buffer
+		if err := models.SaveClassifier(active.Value, &blob); err != nil {
+			t.Fatal(err)
+		}
+		return reports, blob.Bytes()
+	}
+	serialReps, serialBlob := run(1)
+	parReps, parBlob := run(4)
+	if !reflect.DeepEqual(serialReps, parReps) {
+		t.Fatalf("parallel training changed loop decisions:\nserial:   %+v\nparallel: %+v", serialReps, parReps)
+	}
+	if !bytes.Equal(serialBlob, parBlob) {
+		t.Fatalf("parallel training changed the promoted model blob (%d vs %d bytes)", len(serialBlob), len(parBlob))
 	}
 }
 

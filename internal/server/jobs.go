@@ -44,13 +44,6 @@ func (s JobState) Terminal() bool {
 	return s == JobDone || s == JobFailed || s == JobCancelled
 }
 
-// ErrQueueFull is returned by submit when the submitting tenant's queue is
-// at capacity; HTTP maps it to a per-tenant 429.
-var ErrQueueFull = errors.New("server: job queue full")
-
-// ErrShuttingDown is returned by submit after drain began.
-var ErrShuttingDown = errors.New("server: shutting down")
-
 // JobStatus is the JSON view of a job.
 type JobStatus struct {
 	ID         string     `json:"id"`
@@ -121,7 +114,6 @@ type jobs struct {
 	// finished holds the terminal jobs still in byID, oldest first.
 	finished []*job
 	nextID   int
-	closing  bool
 }
 
 // newJobs starts a manager with the given worker count, per-tenant queue
@@ -206,14 +198,12 @@ func (m *jobs) retire(j *job) {
 }
 
 // submit enqueues fn on tenantID's queue. It never blocks: a full tenant
-// queue returns ErrQueueFull immediately (per-tenant backpressure for the
-// HTTP layer to surface as 429; other tenants keep submitting).
+// queue returns tenant.ErrQueueFull immediately (per-tenant backpressure
+// for the HTTP layer to surface as 429; other tenants keep submitting),
+// and after drain began it returns tenant.ErrSchedulerClosed.
 func (m *jobs) submit(tenantID string, fn func(ctx context.Context) (any, error)) (*job, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.closing {
-		return nil, ErrShuttingDown
-	}
 	m.nextID++
 	ctx, cancel := context.WithCancelCause(m.baseCtx)
 	j := &job{
@@ -229,14 +219,7 @@ func (m *jobs) submit(tenantID string, fn func(ctx context.Context) (any, error)
 	if err := m.sched.Submit(tenantID, j); err != nil {
 		cancel(nil)
 		m.nextID-- // the id was never visible; reuse it
-		switch {
-		case errors.Is(err, tenant.ErrQueueFull):
-			return nil, ErrQueueFull
-		case errors.Is(err, tenant.ErrSchedulerClosed):
-			return nil, ErrShuttingDown
-		default:
-			return nil, err
-		}
+		return nil, err
 	}
 	m.byID[j.id] = j
 	mJobsSubmitted.Inc()
@@ -315,15 +298,9 @@ func (m *jobs) counts(tenantID string) map[JobState]int {
 // drain stops accepting new jobs and waits for in-flight ones. Queued jobs
 // still run (the queues drain in fair order, they are not dropped) unless
 // ctx expires first, in which case every remaining job is cancelled and
-// drain waits for the workers to unwind before returning ctx's error.
+// drain waits for the workers to unwind before returning ctx's error. A
+// second drain finds the workers gone and returns at once.
 func (m *jobs) drain(ctx context.Context) error {
-	m.mu.Lock()
-	if m.closing {
-		m.mu.Unlock()
-		return nil
-	}
-	m.closing = true
-	m.mu.Unlock()
 	m.sched.Close()
 
 	done := make(chan struct{})

@@ -128,7 +128,7 @@ func TestQueueBackpressure(t *testing.T) {
 	if _, err := m.submit("default", func(ctx context.Context) (any, error) { return nil, nil }); err != nil {
 		t.Fatalf("second submit should queue: %v", err)
 	}
-	if _, err := m.submit("default", func(ctx context.Context) (any, error) { return nil, nil }); !errors.Is(err, ErrQueueFull) {
+	if _, err := m.submit("default", func(ctx context.Context) (any, error) { return nil, nil }); !errors.Is(err, tenant.ErrQueueFull) {
 		t.Fatalf("third submit: err = %v, want ErrQueueFull", err)
 	}
 	close(release)
@@ -150,7 +150,7 @@ func TestDrainWaitsAndRejectsNewWork(t *testing.T) {
 	if st := slow.status().State; st != JobDone {
 		t.Fatalf("drain returned before job finished: %s", st)
 	}
-	if _, err := m.submit("default", func(ctx context.Context) (any, error) { return nil, nil }); !errors.Is(err, ErrShuttingDown) {
+	if _, err := m.submit("default", func(ctx context.Context) (any, error) { return nil, nil }); !errors.Is(err, tenant.ErrSchedulerClosed) {
 		t.Fatalf("submit after drain: %v", err)
 	}
 	// Draining twice is a no-op.

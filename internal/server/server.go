@@ -865,12 +865,12 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		return res, nil
 	})
 	switch {
-	case errors.Is(err, ErrQueueFull):
+	case errors.Is(err, tenant.ErrQueueFull):
 		w.Header().Set("Retry-After", "1")
 		writeErr(w, http.StatusTooManyRequests, "tenant %q job queue full (capacity %d)", tn.ID, s.cfg.QueueSize)
 		return
-	case errors.Is(err, ErrShuttingDown):
-		writeErr(w, http.StatusServiceUnavailable, "%v", err)
+	case errors.Is(err, tenant.ErrSchedulerClosed):
+		writeErr(w, http.StatusServiceUnavailable, "server: shutting down")
 		return
 	case err != nil:
 		writeErr(w, http.StatusInternalServerError, "%v", err)

@@ -348,6 +348,25 @@ func TestServeQueueBackpressure(t *testing.T) {
 	doJSON(t, http.MethodDelete, base+"/v1/jobs/"+second.id, nil, nil)
 }
 
+// TestServeJobSubmitAfterDrain: once the job table has drained, a tune
+// submission answers 503, and the Shutdown that follows drains again.
+func TestServeJobSubmitAfterDrain(t *testing.T) {
+	s := newTestServer(t, func(c *Config) { c.Workers = 1; c.QueueSize = 1 })
+	addr, err := s.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown(context.Background())
+	if err := s.jobs.drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	var apiErr map[string]any
+	code := doJSON(t, http.MethodPost, "http://"+addr+"/v1/jobs/tune", strings.NewReader(`{}`), &apiErr)
+	if code != http.StatusServiceUnavailable || apiErr["error"] != "server: shutting down" {
+		t.Fatalf("submit after drain: %d %v, want 503 server: shutting down", code, apiErr)
+	}
+}
+
 // TestConcurrentSubmissionsAndHotSwap races job submissions and classify
 // traffic against registry hot-swaps (run under -race in CI).
 func TestConcurrentSubmissionsAndHotSwap(t *testing.T) {
