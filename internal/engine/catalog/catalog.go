@@ -305,7 +305,7 @@ type Configuration struct {
 	indexes map[string]*Index
 
 	// fp and sorted lazily cache Fingerprint() and the ID-sorted index
-	// slice. Both are invalidated by Add/Remove. Configurations are
+	// slice. Both are invalidated by Add. Configurations are
 	// mutated single-threaded during construction and shared read-only
 	// afterwards (the tuner clones before adding), so the atomics only
 	// need to make concurrent readers safe, and Configurations must be
@@ -337,19 +337,9 @@ func (c *Configuration) Clone() *Configuration {
 // already-present index is a no-op.
 func (c *Configuration) Add(ix *Index) *Configuration {
 	c.indexes[ix.ID()] = ix
-	c.invalidate()
-	return c
-}
-
-// Remove deletes an index by identity.
-func (c *Configuration) Remove(ix *Index) {
-	delete(c.indexes, ix.ID())
-	c.invalidate()
-}
-
-func (c *Configuration) invalidate() {
 	c.fp.Store(nil)
 	c.sorted.Store(nil)
+	return c
 }
 
 // Has reports whether the configuration contains the index.
@@ -437,16 +427,6 @@ func (c *Configuration) FingerprintOf(keep func(*Index) bool) string {
 		}
 	}
 	return strings.Join(ids, ";")
-}
-
-// EstimatedBytes returns the total estimated size of all indexes in the
-// configuration given the schema.
-func (c *Configuration) EstimatedBytes(s *Schema) int64 {
-	var b int64
-	for _, ix := range c.indexes {
-		b += ix.EstimatedBytes(s.Table(ix.Table))
-	}
-	return b
 }
 
 // Diff returns the indexes present in c but not in old, sorted by ID. It is

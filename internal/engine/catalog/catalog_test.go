@@ -134,10 +134,6 @@ func TestConfiguration(t *testing.T) {
 	if len(cfg.IndexesOn("orders")) != 2 || len(cfg.IndexesOn("lineitem")) != 0 {
 		t.Fatal("IndexesOn wrong")
 	}
-	cfg.Remove(b)
-	if cfg.Len() != 1 || cfg.Has(b) {
-		t.Fatal("Remove wrong")
-	}
 }
 
 func TestConfigurationFingerprintAndDiff(t *testing.T) {
@@ -171,16 +167,6 @@ func TestConfigurationFingerprintAndDiff(t *testing.T) {
 	}
 	if got := c3.FingerprintOf(func(*Index) bool { return false }); got != NewConfiguration().Fingerprint() {
 		t.Fatalf("FingerprintOf(none) = %q, want the empty fingerprint", got)
-	}
-}
-
-func TestConfigurationEstimatedBytes(t *testing.T) {
-	s := NewSchema("db")
-	s.AddTable(testTable())
-	a := &Index{Table: "orders", KeyColumns: []string{"o_custkey"}}
-	cfg := NewConfiguration(a)
-	if cfg.EstimatedBytes(s) != a.EstimatedBytes(s.Table("orders")) {
-		t.Fatal("EstimatedBytes should sum index sizes")
 	}
 }
 

@@ -440,7 +440,7 @@ func (st *runState) run(n *plan.Node) (*batch, error) {
 	case plan.HashAggregate, plan.StreamAggregate:
 		return st.aggregate(n)
 	case plan.Exchange:
-		out, err := st.run(n.Children[0])
+		out, err := st.run(n.Kids[0])
 		if err != nil {
 			return nil, err
 		}
@@ -723,7 +723,7 @@ func (st *runState) indexSeek(n *plan.Node) (*batch, error) {
 }
 
 func (st *runState) keyLookup(n *plan.Node) (*batch, error) {
-	in, err := st.run(n.Children[0])
+	in, err := st.run(n.Kids[0])
 	if err != nil {
 		return nil, err
 	}
@@ -749,7 +749,7 @@ func (st *runState) keyLookup(n *plan.Node) (*batch, error) {
 }
 
 func (st *runState) filter(n *plan.Node) (*batch, error) {
-	in, err := st.run(n.Children[0])
+	in, err := st.run(n.Kids[0])
 	if err != nil {
 		return nil, err
 	}
@@ -851,11 +851,11 @@ func extraJoinPairs(n *plan.Node, left, right *batch) (func(l, r int64) bool, er
 }
 
 func (st *runState) hashJoin(n *plan.Node) (*batch, error) {
-	probe, err := st.run(n.Children[0])
+	probe, err := st.run(n.Kids[0])
 	if err != nil {
 		return nil, err
 	}
-	build, err := st.run(n.Children[1])
+	build, err := st.run(n.Kids[1])
 	if err != nil {
 		return nil, err
 	}
@@ -906,11 +906,11 @@ func (st *runState) hashJoin(n *plan.Node) (*batch, error) {
 }
 
 func (st *runState) mergeJoin(n *plan.Node) (*batch, error) {
-	left, err := st.run(n.Children[0])
+	left, err := st.run(n.Kids[0])
 	if err != nil {
 		return nil, err
 	}
-	right, err := st.run(n.Children[1])
+	right, err := st.run(n.Kids[1])
 	if err != nil {
 		return nil, err
 	}
@@ -983,7 +983,7 @@ func findInnerSeek(n *plan.Node) []*plan.Node {
 	if n.Op != plan.Filter && n.Op != plan.KeyLookup {
 		return nil
 	}
-	for _, c := range n.Children {
+	for _, c := range n.Children() {
 		if path := findInnerSeek(c); path != nil {
 			return append([]*plan.Node{n}, path...)
 		}
@@ -992,16 +992,16 @@ func findInnerSeek(n *plan.Node) []*plan.Node {
 }
 
 func (st *runState) nestedLoopJoin(n *plan.Node) (*batch, error) {
-	outer, err := st.run(n.Children[0])
+	outer, err := st.run(n.Kids[0])
 	if err != nil {
 		return nil, err
 	}
-	innerPath := findInnerSeek(n.Children[1])
+	innerPath := findInnerSeek(n.Kids[1])
 	if innerPath != nil {
 		return st.indexNLJ(n, outer, innerPath)
 	}
 	// Plain nested loops: materialize the inner once.
-	inner, err := st.run(n.Children[1])
+	inner, err := st.run(n.Kids[1])
 	if err != nil {
 		return nil, err
 	}
@@ -1196,7 +1196,7 @@ func (st *runState) indexNLJ(n *plan.Node, outer *batch, innerPath []*plan.Node)
 }
 
 func (st *runState) sortOp(n *plan.Node) (*batch, error) {
-	in, err := st.run(n.Children[0])
+	in, err := st.run(n.Kids[0])
 	if err != nil {
 		return nil, err
 	}
@@ -1244,7 +1244,7 @@ func sameColRefs(a, b []query.ColRef) bool {
 }
 
 func (st *runState) topOp(n *plan.Node) (*batch, error) {
-	in, err := st.run(n.Children[0])
+	in, err := st.run(n.Kids[0])
 	if err != nil {
 		return nil, err
 	}
@@ -1265,7 +1265,7 @@ func (st *runState) topOp(n *plan.Node) (*batch, error) {
 // alloc-free string(keyBuf) idiom) plus flat accumulator arrays indexed by
 // ordinal, in first-seen order.
 func (st *runState) aggregate(n *plan.Node) (*batch, error) {
-	in, err := st.run(n.Children[0])
+	in, err := st.run(n.Kids[0])
 	if err != nil {
 		return nil, err
 	}

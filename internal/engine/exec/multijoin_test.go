@@ -70,11 +70,11 @@ func TestMultiPredicateJoinRowCounts(t *testing.T) {
 	scanD := &plan.Node{Op: plan.TableScan, Table: "dim"}
 	jp := &q.Joins[0]
 	extras := []query.Join{q.Joins[1]}
-	merge := &plan.Node{Op: plan.MergeJoin, Join: jp, Ann: &plan.Annotations{ExtraJoins: extras}, Children: []*plan.Node{
-		{Op: plan.Sort, Ann: &plan.Annotations{SortCols: []query.ColRef{{Table: "fact", Column: "f_dim"}}}, Children: []*plan.Node{scanF}},
-		{Op: plan.Sort, Ann: &plan.Annotations{SortCols: []query.ColRef{{Table: "dim", Column: "d_id"}}}, Children: []*plan.Node{scanD}},
+	merge := &plan.Node{Op: plan.MergeJoin, Join: jp, Ann: &plan.Annotations{ExtraJoins: extras}, Kids: [2]*plan.Node{
+		{Op: plan.Sort, Ann: &plan.Annotations{SortCols: []query.ColRef{{Table: "fact", Column: "f_dim"}}}, Kids: [2]*plan.Node{scanF}},
+		{Op: plan.Sort, Ann: &plan.Annotations{SortCols: []query.ColRef{{Table: "dim", Column: "d_id"}}}, Kids: [2]*plan.Node{scanD}},
 	}}
-	nlj := &plan.Node{Op: plan.NestedLoopJoin, Join: jp, Ann: &plan.Annotations{ExtraJoins: extras}, Children: []*plan.Node{scanF, scanD}}
+	nlj := &plan.Node{Op: plan.NestedLoopJoin, Join: jp, Ann: &plan.Annotations{ExtraJoins: extras}, Kids: [2]*plan.Node{scanF, scanD}}
 	plans = append(plans,
 		&plan.Plan{Root: merge, Query: q},
 		&plan.Plan{Root: nlj, Query: q},

@@ -103,7 +103,7 @@ func (st *refRunState) run(n *plan.Node) (*refRel, error) {
 	case plan.HashAggregate, plan.StreamAggregate:
 		return st.aggregate(n)
 	case plan.Exchange:
-		out, err := st.run(n.Children[0])
+		out, err := st.run(n.Kids[0])
 		if err != nil {
 			return nil, err
 		}
@@ -330,7 +330,7 @@ func (st *refRunState) indexSeek(n *plan.Node) (*refRel, error) {
 }
 
 func (st *refRunState) keyLookup(n *plan.Node) (*refRel, error) {
-	in, err := st.run(n.Children[0])
+	in, err := st.run(n.Kids[0])
 	if err != nil {
 		return nil, err
 	}
@@ -373,7 +373,7 @@ func refEvalPreds(preds []query.Pred, r *refRel, row []int64) (bool, error) {
 }
 
 func (st *refRunState) filter(n *plan.Node) (*refRel, error) {
-	in, err := st.run(n.Children[0])
+	in, err := st.run(n.Kids[0])
 	if err != nil {
 		return nil, err
 	}
@@ -434,11 +434,11 @@ func refExtraJoinPairs(n *plan.Node, left, right *refRel) (func(l, r []int64) bo
 }
 
 func (st *refRunState) hashJoin(n *plan.Node) (*refRel, error) {
-	probe, err := st.run(n.Children[0])
+	probe, err := st.run(n.Kids[0])
 	if err != nil {
 		return nil, err
 	}
-	build, err := st.run(n.Children[1])
+	build, err := st.run(n.Kids[1])
 	if err != nil {
 		return nil, err
 	}
@@ -480,11 +480,11 @@ func (st *refRunState) hashJoin(n *plan.Node) (*refRel, error) {
 }
 
 func (st *refRunState) mergeJoin(n *plan.Node) (*refRel, error) {
-	left, err := st.run(n.Children[0])
+	left, err := st.run(n.Kids[0])
 	if err != nil {
 		return nil, err
 	}
-	right, err := st.run(n.Children[1])
+	right, err := st.run(n.Kids[1])
 	if err != nil {
 		return nil, err
 	}
@@ -548,7 +548,7 @@ func refFindInnerSeek(n *plan.Node) []*plan.Node {
 	if n.Op != plan.Filter && n.Op != plan.KeyLookup {
 		return nil
 	}
-	for _, c := range n.Children {
+	for _, c := range n.Children() {
 		if path := refFindInnerSeek(c); path != nil {
 			return append([]*plan.Node{n}, path...)
 		}
@@ -557,15 +557,15 @@ func refFindInnerSeek(n *plan.Node) []*plan.Node {
 }
 
 func (st *refRunState) nestedLoopJoin(n *plan.Node) (*refRel, error) {
-	outer, err := st.run(n.Children[0])
+	outer, err := st.run(n.Kids[0])
 	if err != nil {
 		return nil, err
 	}
-	innerPath := refFindInnerSeek(n.Children[1])
+	innerPath := refFindInnerSeek(n.Kids[1])
 	if innerPath != nil {
 		return st.indexNLJ(n, outer, innerPath)
 	}
-	inner, err := st.run(n.Children[1])
+	inner, err := st.run(n.Kids[1])
 	if err != nil {
 		return nil, err
 	}
@@ -752,7 +752,7 @@ func (st *refRunState) indexNLJ(n *plan.Node, outer *refRel, innerPath []*plan.N
 }
 
 func (st *refRunState) sortOp(n *plan.Node) (*refRel, error) {
-	in, err := st.run(n.Children[0])
+	in, err := st.run(n.Kids[0])
 	if err != nil {
 		return nil, err
 	}
@@ -781,7 +781,7 @@ func (st *refRunState) sortOp(n *plan.Node) (*refRel, error) {
 }
 
 func (st *refRunState) topOp(n *plan.Node) (*refRel, error) {
-	in, err := st.run(n.Children[0])
+	in, err := st.run(n.Kids[0])
 	if err != nil {
 		return nil, err
 	}
@@ -794,7 +794,7 @@ func (st *refRunState) topOp(n *plan.Node) (*refRel, error) {
 }
 
 func (st *refRunState) aggregate(n *plan.Node) (*refRel, error) {
-	in, err := st.run(n.Children[0])
+	in, err := st.run(n.Kids[0])
 	if err != nil {
 		return nil, err
 	}

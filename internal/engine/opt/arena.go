@@ -1,11 +1,10 @@
 package opt
 
-import "repro/internal/engine/plan"
-
 // Planning allocates many short-lived objects per Optimize call: plan
 // nodes for every candidate access path and for the returned plan's joins,
-// aggregation and parallel alternative, their annotation blocks, child
-// slices, and subPlan headers (one join recipe per DP table set). Join
+// aggregation and parallel alternative, their annotation blocks, and
+// subPlan headers (one join recipe per DP table set). A node holds its
+// children in its own slots, so they need no storage of their own. Join
 // alternatives themselves are costed without nodes (planner.bestJoin). All
 // of these die when the winning plan is cloned out at the plan boundary, so
 // the planner carves them out of chunked arenas owned by the (pooled)
@@ -22,10 +21,7 @@ import "repro/internal/engine/plan"
 //     them and are recycled wholesale by reset();
 //   - the returned plan is the only thing that outlives the call: it is
 //     cloned *out* into compact, exactly-sized heap slabs (cloneOut).
-const (
-	chunkSize      = 64
-	childChunkSize = 256
-)
+const chunkSize = 64
 
 // arena hands out pointer-stable slots of T, set to the value given.
 type arena[T any] struct {
@@ -48,32 +44,3 @@ func (a *arena[T]) alloc(v T) *T {
 }
 
 func (a *arena[T]) reset() { a.ci, a.n = 0, 0 }
-
-// childArena is a bump allocator for Children slices.
-type childArena struct {
-	chunks [][]*plan.Node
-	ci, n  int
-}
-
-func (a *childArena) alloc(k int) []*plan.Node {
-	if k == 0 {
-		return nil
-	}
-	if k > childChunkSize {
-		// Oversized request (never produced by the planner today): fall
-		// back to a one-off heap slice rather than complicating the arena.
-		return make([]*plan.Node, k)
-	}
-	if a.ci < len(a.chunks) && a.n+k > childChunkSize {
-		a.ci++
-		a.n = 0
-	}
-	if a.ci == len(a.chunks) {
-		a.chunks = append(a.chunks, make([]*plan.Node, childChunkSize))
-	}
-	s := a.chunks[a.ci][a.n : a.n+k : a.n+k]
-	a.n += k
-	return s
-}
-
-func (a *childArena) reset() { a.ci, a.n = 0, 0 }

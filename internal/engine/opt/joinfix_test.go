@@ -6,16 +6,20 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/candidates"
 	"repro/internal/engine/catalog"
 	"repro/internal/engine/cost"
 	"repro/internal/engine/plan"
 	"repro/internal/engine/query"
+	"repro/internal/engine/stats"
 	"repro/internal/race"
 	"repro/internal/util"
+	"repro/internal/workload"
 )
 
 // Regression tests for the join-planning bugfix sweep, plus the
-// arena aliasing invariants and the planner's warm-path allocation budget.
+// arena aliasing invariants, the premises of the node's two child slots and
+// the planner's warm-path allocation budget.
 
 // planJoins collects every join predicate attached to any join node of a
 // plan — the driving Join plus the carried ExtraJoins.
@@ -78,12 +82,12 @@ func TestJoinPlanCarriesAllPredicates(t *testing.T) {
 func findINLJ(p *plan.Plan) *plan.Node {
 	var out *plan.Node
 	p.Root.Walk(func(n *plan.Node) {
-		if n.Op != plan.NestedLoopJoin || len(n.Children) != 2 {
+		if n.Op != plan.NestedLoopJoin || len(n.Children()) != 2 {
 			return
 		}
-		seek := n.Children[1]
-		for len(seek.Children) > 0 {
-			seek = seek.Children[0]
+		seek := n.Kids[1]
+		for len(seek.Children()) > 0 {
+			seek = seek.Kids[0]
 		}
 		if seek.Op == plan.IndexSeek {
 			out = n
@@ -118,7 +122,7 @@ func TestIndexNLJCostConventions(t *testing.T) {
 		// The join node is costed on the probes branch: one probe dispatch
 		// per outer row plus per-row output cost. Reconstruct the args the
 		// planner must have used and require bit-equality.
-		outer := n.Children[0]
+		outer := n.Kids[0]
 		want := o.Model.OpCost(n.Op, n.Mode, n.Par, cost.Args{
 			RowsIn: outer.EstRows, RowsOut: n.EstRows,
 			Probes: outer.EstRows, Height: 1,
@@ -147,7 +151,7 @@ func TestIndexNLJCostConventions(t *testing.T) {
 		if n == nil {
 			t.Fatalf("expected an index NLJ plan:\n%s", p)
 		}
-		if n.Children[0].Op != plan.ColumnstoreScan {
+		if n.Kids[0].Op != plan.ColumnstoreScan {
 			t.Fatalf("expected a columnstore outer:\n%s", p)
 		}
 		if n.Mode != plan.Batch {
@@ -415,6 +419,96 @@ func TestPlansNeverAliasPlannerMemory(t *testing.T) {
 	}
 }
 
+// arity is the number of inputs a plan operator takes.
+func arity(op plan.Op) int {
+	switch op {
+	case plan.HashJoin, plan.MergeJoin, plan.NestedLoopJoin:
+		return 2
+	case plan.TableScan, plan.IndexSeek, plan.IndexScan, plan.ColumnstoreScan:
+		return 0
+	}
+	return 1
+}
+
+// TestPlanNodesHaveOperatorArity checks the premise of plan.Node's two
+// inline child slots on the corpus of TestPlannerMatchesReferenceOnTPC
+// (each query under no index and under each of its candidates alone):
+// every node the planner returns fills as many slots as its operator takes
+// inputs, and slot 1 is never filled while slot 0 is empty.
+func TestPlanNodesHaveOperatorArity(t *testing.T) {
+	for _, w := range []*workload.Workload{
+		workload.TPCH("ref-tpch", 4000, 9),
+		workload.TPCDS("ref-tpcds", 3000, 9),
+		workload.Customer("ref-cust9", 20190701+109, 3, 0.3),
+	} {
+		o := New(w.Schema, stats.BuildDatabaseStats(w.DB, util.NewRNG(4), 512, 32))
+		var plans, nodes int
+		for _, q := range w.Queries {
+			cfgs := []*catalog.Configuration{nil}
+			for _, ix := range candidates.Generate(q, w.Schema, candidates.Limits{}) {
+				cfgs = append(cfgs, catalog.NewConfiguration(ix))
+			}
+			for _, cfg := range cfgs {
+				p, err := o.Optimize(q, cfg)
+				if err != nil {
+					continue
+				}
+				plans++
+				p.Root.Walk(func(n *plan.Node) {
+					nodes++
+					filled := 0
+					for _, k := range n.Kids {
+						if k != nil {
+							filled++
+						}
+					}
+					if filled != arity(n.Op) || (n.Kids[0] == nil && n.Kids[1] != nil) || len(n.Children()) != filled {
+						t.Fatalf("%s %s/%q: a %s node fills slots %v, want its first %d:\n%s",
+							w.Name, q.Name, fpOf(cfg), n.KeyName(), [2]bool{n.Kids[0] != nil, n.Kids[1] != nil}, arity(n.Op), p)
+					}
+				})
+			}
+		}
+		if plans == 0 {
+			t.Fatalf("%s: no plan to check", w.Name)
+		}
+		t.Logf("%s: %d nodes in %d plans", w.Name, nodes, plans)
+	}
+}
+
+// TestCloneOutAllocs pins what cloneOut allocates: one slab for the nodes,
+// plus one for annotation blocks only when some node carries a block. The
+// children live in the copies' own slots, so they take no slab.
+func TestCloneOutAllocs(t *testing.T) {
+	join := &plan.Node{Op: plan.HashJoin, Kids: [2]*plan.Node{
+		{Op: plan.TableScan, Table: "fact"}, {Op: plan.TableScan, Table: "dim"}}}
+	sortCols := []query.ColRef{{Table: "fact", Column: "f_dim"}}
+	for _, c := range []struct {
+		root *plan.Node
+		want float64
+	}{
+		{&plan.Node{Op: plan.Exchange, Kids: [2]*plan.Node{join}}, 1},
+		{&plan.Node{Op: plan.Sort, Ann: &plan.Annotations{SortCols: sortCols}, Kids: [2]*plan.Node{join}}, 2},
+	} {
+		var out *plan.Node
+		allocs := testing.AllocsPerRun(100, func() { out = cloneOut(c.root) })
+		if allocs != c.want {
+			t.Fatalf("cloneOut of a %s tree allocated %.1f times per run, want %.0f", c.root.KeyName(), allocs, c.want)
+		}
+		var in, got []*plan.Node
+		c.root.Walk(func(n *plan.Node) { in = append(in, n) })
+		out.Walk(func(n *plan.Node) { got = append(got, n) })
+		if len(got) != len(in) {
+			t.Fatalf("clone has %d nodes, want %d", len(got), len(in))
+		}
+		for i, n := range got {
+			if n == in[i] || n.Op != in[i].Op || n.Table != in[i].Table || (n.Ann != nil) != (in[i].Ann != nil) || (n.Ann != nil && n.Ann == in[i].Ann) {
+				t.Fatalf("clone node %d: %s table %q, source %s table %q; a clone must copy, not share", i, n.KeyName(), n.Table, in[i].KeyName(), in[i].Table)
+			}
+		}
+	}
+}
+
 // TestOptimizeWarmAllocBudget pins the warm planning path itself (distinct
 // from the what-if cache hit): with query info and the planner pool warm, a
 // full Optimize call (join DP included) must stay within a small allocation
@@ -449,8 +543,8 @@ func TestOptimizeWarmAllocBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		// Warm planning clones the result tree out of the arenas (2 slabs,
-		// a third when a node carries annotations, and the Plan struct).
+		// Warm planning clones the result tree out of the arenas (1 slab,
+		// a second when a node carries annotations, and the Plan struct).
 		// Merge-join sort keys are built once per query and shared by plan
 		// nodes; join selectivities and per-table values are read once per
 		// call into reused planner scratch. What remains are small slices

@@ -342,7 +342,6 @@ type planner struct {
 
 	nodes arena[plan.Node]
 	anns  arena[plan.Annotations]
-	kids  childArena
 	subs  arena[subPlan]
 	// args holds the cost.Args of every arena node, indexed by
 	// plan.Node.Scratch; parallelize/cloneRecost recost from it.
@@ -455,7 +454,6 @@ func (p *planner) probeValOf(table string, ix *catalog.Index, preds []query.Pred
 func (o *Optimizer) putPlanner(p *planner) {
 	p.nodes.reset()
 	p.anns.reset()
-	p.kids.reset()
 	p.subs.reset()
 	p.args = p.args[:0]
 	p.base = p.base[:0]
@@ -479,18 +477,6 @@ func (p *planner) ann(a plan.Annotations) *plan.Annotations {
 		return nil
 	}
 	return p.anns.alloc(a)
-}
-
-func (p *planner) child1(a *plan.Node) []*plan.Node {
-	s := p.kids.alloc(1)
-	s[0] = a
-	return s
-}
-
-func (p *planner) child2(a, b *plan.Node) []*plan.Node {
-	s := p.kids.alloc(2)
-	s[0], s[1] = a, b
-	return s
 }
 
 func (p *planner) sub(sp subPlan) *subPlan { return p.subs.alloc(sp) }
@@ -764,16 +750,14 @@ func (p *planner) indexPath(table string, meta *catalog.Table, ix *catalog.Index
 	// Non-covering: key lookup fetches full rows, then a filter applies the
 	// uncovered residual predicates. This is the plan shape whose cost the
 	// optimizer systematically under-estimates (cost.OptimizerModel).
-	lookup := p.node(plan.Node{Op: plan.KeyLookup, Table: table})
-	lookup.Children = p.child1(seek)
+	lookup := p.node(plan.Node{Op: plan.KeyLookup, Table: table, Kids: [2]*plan.Node{seek}})
 	lookCost := p.annotate(lookup, cost.Args{
 		RowsIn: seekOut, RowsOut: seekOut, Bytes: seekOut * float64(meta.RowWidth()),
 	}, needW)
 	top := lookup
 	total := seekCost + lookCost
 	if len(uncovRes) > 0 {
-		filter := p.node(plan.Node{Op: plan.Filter, ResidualPreds: uncovRes})
-		filter.Children = p.child1(lookup)
+		filter := p.node(plan.Node{Op: plan.Filter, ResidualPreds: uncovRes, Kids: [2]*plan.Node{lookup}})
 		fOut := seekOut * p.selAll(uncovRes)
 		total += p.annotate(filter, cost.Args{RowsIn: seekOut, RowsOut: fOut}, needW)
 		top = filter
@@ -924,8 +908,7 @@ func sortArgs(in *subPlan) cost.Args {
 
 // sortNode wraps a subplan in a Sort.
 func (p *planner) sortNode(in *subPlan, cols []query.ColRef) *subPlan {
-	n := p.node(plan.Node{Op: plan.Sort, Mode: modeOf(in.hasCS), Ann: p.ann(plan.Annotations{SortCols: cols})})
-	n.Children = p.child1(in.node)
+	n := p.node(plan.Node{Op: plan.Sort, Mode: modeOf(in.hasCS), Ann: p.ann(plan.Annotations{SortCols: cols}), Kids: [2]*plan.Node{in.node}})
 	c := p.annotate(n, sortArgs(in), in.width)
 	return p.sub(subPlan{node: n, tables: in.tables, rows: in.rows, width: in.width, cost: in.cost + c, hasCS: in.hasCS})
 }
@@ -1014,8 +997,7 @@ func (p *planner) build(sp *subPlan) *plan.Node {
 		r = p.build(sp.right)
 	}
 	op, mode := joinOp(sp.alg, sp.hasCS)
-	n := p.node(plan.Node{Op: op, Mode: mode, Join: p.qi.joins[sp.join].ptr, Ann: p.ann(plan.Annotations{ExtraJoins: p.extraJoins(sp)})})
-	n.Children = p.child2(l, r)
+	n := p.node(plan.Node{Op: op, Mode: mode, Join: p.qi.joins[sp.join].ptr, Ann: p.ann(plan.Annotations{ExtraJoins: p.extraJoins(sp)}), Kids: [2]*plan.Node{l, r}})
 	p.annotate(n, joinArgs(sp.alg, sp.left, sp.right, sp.rows), sp.width)
 	sp.node = n
 	return n
@@ -1059,14 +1041,12 @@ func (p *planner) buildProbe(sp *subPlan) *plan.Node {
 	if pv.covers {
 		return seek
 	}
-	lookup := p.node(plan.Node{Op: plan.KeyLookup, Table: table})
-	lookup.Children = p.child1(seek)
+	lookup := p.node(plan.Node{Op: plan.KeyLookup, Table: table, Kids: [2]*plan.Node{seek}})
 	p.annotate(lookup, lookupArgs, tv.needW)
 	if len(uncovRes) == 0 {
 		return lookup
 	}
-	filter := p.node(plan.Node{Op: plan.Filter, ResidualPreds: uncovRes})
-	filter.Children = p.child1(lookup)
+	filter := p.node(plan.Node{Op: plan.Filter, ResidualPreds: uncovRes, Kids: [2]*plan.Node{lookup}})
 	p.annotate(filter, filterArgs, tv.needW)
 	return filter
 }
@@ -1179,8 +1159,7 @@ func (p *planner) addAggregation(in *subPlan) *subPlan {
 	groups := p.estGroups(in.rows)
 	outW := in.width // close enough for group rows
 
-	hash := p.node(plan.Node{Op: plan.HashAggregate, Mode: modeOf(in.hasCS), Ann: p.ann(plan.Annotations{GroupCols: p.q.GroupBy})})
-	hash.Children = p.child1(in.node)
+	hash := p.node(plan.Node{Op: plan.HashAggregate, Mode: modeOf(in.hasCS), Ann: p.ann(plan.Annotations{GroupCols: p.q.GroupBy}), Kids: [2]*plan.Node{in.node}})
 	hc := p.annotate(hash, cost.Args{RowsIn: in.rows, RowsOut: groups, Bytes: in.rows * in.width}, outW)
 	hashSP := p.sub(subPlan{node: hash, tables: in.tables, rows: groups, width: outW, cost: in.cost + hc, hasCS: in.hasCS})
 
@@ -1188,8 +1167,7 @@ func (p *planner) addAggregation(in *subPlan) *subPlan {
 		return hashSP // scalar aggregate: stream/hash equivalent; use hash
 	}
 	sorted := p.sortNode(in, p.q.GroupBy)
-	stream := p.node(plan.Node{Op: plan.StreamAggregate, Ann: p.ann(plan.Annotations{GroupCols: p.q.GroupBy})})
-	stream.Children = p.child1(sorted.node)
+	stream := p.node(plan.Node{Op: plan.StreamAggregate, Ann: p.ann(plan.Annotations{GroupCols: p.q.GroupBy}), Kids: [2]*plan.Node{sorted.node}})
 	sc := p.annotate(stream, cost.Args{RowsIn: in.rows, RowsOut: groups, Bytes: in.rows * in.width}, outW)
 	streamSP := p.sub(subPlan{node: stream, tables: in.tables, rows: groups, width: outW, cost: sorted.cost + sc, hasCS: in.hasCS})
 	// When the query also orders by the group columns, the hash path will
@@ -1238,8 +1216,7 @@ func (p *planner) addOrdering(in *subPlan) *subPlan {
 	}
 	if p.q.Limit > 0 {
 		outRows := math.Min(float64(p.q.Limit), out.rows)
-		n := p.node(plan.Node{Op: plan.Top, Ann: p.ann(plan.Annotations{TopN: p.q.Limit})})
-		n.Children = p.child1(out.node)
+		n := p.node(plan.Node{Op: plan.Top, Ann: p.ann(plan.Annotations{TopN: p.q.Limit}), Kids: [2]*plan.Node{out.node}})
 		c := p.annotate(n, cost.Args{RowsIn: out.rows, RowsOut: outRows}, out.width)
 		out = p.sub(subPlan{node: n, tables: out.tables, rows: outRows, width: out.width, cost: out.cost + c, hasCS: out.hasCS})
 	}
@@ -1262,8 +1239,7 @@ func sameCols(a, b []query.ColRef) bool {
 // root Exchange runs parallel and is recosted under the believed DOP.
 func (p *planner) parallelize(in *subPlan) *subPlan {
 	cloned, totalCost := p.cloneRecost(in.node, plan.Parallel)
-	ex := p.node(plan.Node{Op: plan.Exchange, Par: plan.Parallel})
-	ex.Children = p.child1(cloned)
+	ex := p.node(plan.Node{Op: plan.Exchange, Par: plan.Parallel, Kids: [2]*plan.Node{cloned}})
 	if cloned.Mode == plan.Batch {
 		ex.Mode = plan.Batch
 	}
@@ -1281,48 +1257,40 @@ func (p *planner) cloneRecost(n *plan.Node, par plan.Parallelism) (*plan.Node, f
 	c := p.node(*n)
 	c.Par = par
 	var total float64
-	if len(n.Children) > 0 {
-		cs := p.kids.alloc(len(n.Children))
-		for i, ch := range n.Children {
-			cc, sub := p.cloneRecost(ch, par)
-			cs[i] = cc
-			total += sub
-		}
-		c.Children = cs
+	for i, ch := range n.Children() {
+		cc, sub := p.cloneRecost(ch, par)
+		c.Kids[i] = cc
+		total += sub
 	}
 	c.EstCost = p.o.Model.OpCost(c.Op, c.Mode, c.Par, a)
 	p.args[c.Scratch] = a
 	return c, total + c.EstCost
 }
 
-// countNodes returns the node, child-slot and annotation-block counts of a
-// subtree.
-func countNodes(n *plan.Node) (nodes, kids, anns int) {
+// countNodes returns the node and annotation-block counts of a subtree.
+func countNodes(n *plan.Node) (nodes, anns int) {
 	nodes = 1
-	kids = len(n.Children)
 	if n.Ann != nil {
 		anns = 1
 	}
-	for _, c := range n.Children {
-		cn, ck, ca := countNodes(c)
+	for _, c := range n.Children() {
+		cn, ca := countNodes(c)
 		nodes += cn
-		kids += ck
 		anns += ca
 	}
 	return
 }
 
 // cloneOut copies a subtree out of the planner's arenas into compact,
-// exactly-sized heap slabs (one for nodes, one for child pointers and, when
-// some node carries annotations, one for annotation blocks), so the result
-// owns no arena memory and survives planner recycling. Scratch is zeroed on
-// every clone.
+// exactly-sized heap slabs (one for nodes, in pre-order, and, when some node
+// carries annotations, one for annotation blocks), so the result owns no
+// arena memory and survives planner recycling. Each copy's child slots point
+// at the copies of its children. Scratch is zeroed on every clone.
 func cloneOut(root *plan.Node) *plan.Node {
-	nn, nk, na := countNodes(root)
+	nn, na := countNodes(root)
 	nodes := make([]plan.Node, nn)
-	kidSlab := make([]*plan.Node, nk)
 	annSlab := make([]plan.Annotations, na) // allocates nothing when na is 0
-	ni, ki, ai := 0, 0, 0
+	ni, ai := 0, 0
 	var walk func(n *plan.Node) *plan.Node
 	walk = func(n *plan.Node) *plan.Node {
 		nd := &nodes[ni]
@@ -1334,13 +1302,8 @@ func cloneOut(root *plan.Node) *plan.Node {
 			nd.Ann = &annSlab[ai]
 			ai++
 		}
-		if len(n.Children) > 0 {
-			cs := kidSlab[ki : ki+len(n.Children) : ki+len(n.Children)]
-			ki += len(n.Children)
-			nd.Children = cs
-			for i, ch := range n.Children {
-				cs[i] = walk(ch)
-			}
+		for i, ch := range n.Children() {
+			nd.Kids[i] = walk(ch)
 		}
 		return nd
 	}

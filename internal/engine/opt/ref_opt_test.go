@@ -210,14 +210,14 @@ func (p *refPlanner) indexPath(table string, meta *catalog.Table, ix *catalog.In
 		return &refSubPlan{node: seek, tables: mask, rows: seekOut, width: needW, cost: seekCost}
 	}
 
-	lookup := &plan.Node{Op: plan.KeyLookup, Table: table, Children: []*plan.Node{seek}}
+	lookup := &plan.Node{Op: plan.KeyLookup, Table: table, Kids: [2]*plan.Node{seek}}
 	lookCost := p.annotate(lookup, cost.Args{
 		RowsIn: seekOut, RowsOut: seekOut, Bytes: seekOut * float64(meta.RowWidth()),
 	}, needW)
 	top := lookup
 	total := seekCost + lookCost
 	if len(uncovRes) > 0 {
-		filter := &plan.Node{Op: plan.Filter, ResidualPreds: uncovRes, Children: []*plan.Node{lookup}}
+		filter := &plan.Node{Op: plan.Filter, ResidualPreds: uncovRes, Kids: [2]*plan.Node{lookup}}
 		fOut := seekOut * p.selAll(uncovRes)
 		total += p.annotate(filter, cost.Args{RowsIn: seekOut, RowsOut: fOut}, needW)
 		top = filter
@@ -284,7 +284,7 @@ func (p *refPlanner) bestJoin(a, b *refSubPlan) *refSubPlan {
 			probe, build = build, probe
 		}
 		n := &plan.Node{Op: plan.HashJoin, Mode: mode, Join: &j, Ann: &plan.Annotations{ExtraJoins: extras},
-			Children: []*plan.Node{probe.node, build.node}}
+			Kids: [2]*plan.Node{probe.node, build.node}}
 		c := p.annotate(n, cost.Args{
 			RowsIn: probe.rows, RowsIn2: build.rows, RowsOut: outRows,
 			Bytes: probe.rows*probe.width + build.rows*build.width,
@@ -301,7 +301,7 @@ func (p *refPlanner) bestJoin(a, b *refSubPlan) *refSubPlan {
 		sortA := p.sortNode(a, []query.ColRef{colA})
 		sortB := p.sortNode(b, []query.ColRef{colB})
 		n := &plan.Node{Op: plan.MergeJoin, Mode: mode, Join: &j, Ann: &plan.Annotations{ExtraJoins: extras},
-			Children: []*plan.Node{sortA.node, sortB.node}}
+			Kids: [2]*plan.Node{sortA.node, sortB.node}}
 		c := p.annotate(n, cost.Args{
 			RowsIn: a.rows, RowsIn2: b.rows, RowsOut: outRows,
 			Bytes: a.rows*a.width + b.rows*b.width,
@@ -319,7 +319,7 @@ func (p *refPlanner) bestJoin(a, b *refSubPlan) *refSubPlan {
 		}
 		if inner.rows <= 1000 {
 			n := &plan.Node{Op: plan.NestedLoopJoin, Join: &j, Ann: &plan.Annotations{ExtraJoins: extras},
-				Children: []*plan.Node{outer.node, inner.node}}
+				Kids: [2]*plan.Node{outer.node, inner.node}}
 			c := p.annotate(n, cost.Args{
 				RowsIn: outer.rows, RowsIn2: inner.rows, RowsOut: outRows,
 				Bytes: inner.rows * inner.width,
@@ -335,7 +335,7 @@ func (p *refPlanner) sortNode(in *refSubPlan, cols []query.ColRef) *refSubPlan {
 	if in.hasCS {
 		mode = plan.Batch
 	}
-	n := &plan.Node{Op: plan.Sort, Mode: mode, Ann: &plan.Annotations{SortCols: cols}, Children: []*plan.Node{in.node}}
+	n := &plan.Node{Op: plan.Sort, Mode: mode, Ann: &plan.Annotations{SortCols: cols}, Kids: [2]*plan.Node{in.node}}
 	c := p.annotate(n, cost.Args{RowsIn: in.rows, RowsOut: in.rows, Bytes: in.rows * in.width}, in.width)
 	return &refSubPlan{node: n, tables: in.tables, rows: in.rows, width: in.width, cost: in.cost + c, hasCS: in.hasCS}
 }
@@ -404,20 +404,20 @@ func (p *refPlanner) indexNLJ(outer, inner *refSubPlan, joins []query.Join, outR
 		}, math.Min(idxW, needW))
 		innerTop := seek
 		if !covering {
-			lookup := &plan.Node{Op: plan.KeyLookup, Table: table, Children: []*plan.Node{seek}}
+			lookup := &plan.Node{Op: plan.KeyLookup, Table: table, Kids: [2]*plan.Node{seek}}
 			innerCost += p.annotate(lookup, cost.Args{
 				RowsIn: seekOut, RowsOut: seekOut, Bytes: seekOut * float64(meta.RowWidth()),
 			}, needW)
 			innerTop = lookup
 			if len(uncovRes) > 0 {
-				filter := &plan.Node{Op: plan.Filter, ResidualPreds: uncovRes, Children: []*plan.Node{lookup}}
+				filter := &plan.Node{Op: plan.Filter, ResidualPreds: uncovRes, Kids: [2]*plan.Node{lookup}}
 				innerCost += p.annotate(filter, cost.Args{RowsIn: seekOut, RowsOut: seekOut * p.selAll(uncovRes)}, needW)
 				innerTop = filter
 			}
 		}
 		jc := jp
 		n := &plan.Node{Op: plan.NestedLoopJoin, Mode: mode, Join: &jc, Ann: &plan.Annotations{ExtraJoins: extras},
-			Children: []*plan.Node{outer.node, innerTop}}
+			Kids: [2]*plan.Node{outer.node, innerTop}}
 		c := p.annotate(n, cost.Args{
 			RowsIn: outer.rows, RowsIn2: inner.rows, RowsOut: outRows,
 			Probes: outer.rows, Height: 1,
@@ -507,7 +507,7 @@ func (p *refPlanner) addAggregation(in *refSubPlan) *refSubPlan {
 		mode = plan.Batch
 	}
 
-	hash := &plan.Node{Op: plan.HashAggregate, Mode: mode, Ann: &plan.Annotations{GroupCols: p.q.GroupBy}, Children: []*plan.Node{in.node}}
+	hash := &plan.Node{Op: plan.HashAggregate, Mode: mode, Ann: &plan.Annotations{GroupCols: p.q.GroupBy}, Kids: [2]*plan.Node{in.node}}
 	hc := p.annotate(hash, cost.Args{RowsIn: in.rows, RowsOut: groups, Bytes: in.rows * in.width}, outW)
 	hashSP := &refSubPlan{node: hash, tables: in.tables, rows: groups, width: outW, cost: in.cost + hc, hasCS: in.hasCS}
 
@@ -515,7 +515,7 @@ func (p *refPlanner) addAggregation(in *refSubPlan) *refSubPlan {
 		return hashSP
 	}
 	sorted := p.sortNode(in, p.q.GroupBy)
-	stream := &plan.Node{Op: plan.StreamAggregate, Ann: &plan.Annotations{GroupCols: p.q.GroupBy}, Children: []*plan.Node{sorted.node}}
+	stream := &plan.Node{Op: plan.StreamAggregate, Ann: &plan.Annotations{GroupCols: p.q.GroupBy}, Kids: [2]*plan.Node{sorted.node}}
 	sc := p.annotate(stream, cost.Args{RowsIn: in.rows, RowsOut: groups, Bytes: in.rows * in.width}, outW)
 	streamSP := &refSubPlan{node: stream, tables: in.tables, rows: groups, width: outW, cost: sorted.cost + sc, hasCS: in.hasCS}
 	if sameCols(p.q.GroupBy, p.q.OrderBy) {
@@ -555,7 +555,7 @@ func (p *refPlanner) addOrdering(in *refSubPlan) *refSubPlan {
 	}
 	if p.q.Limit > 0 {
 		outRows := math.Min(float64(p.q.Limit), out.rows)
-		n := &plan.Node{Op: plan.Top, Ann: &plan.Annotations{TopN: p.q.Limit}, Children: []*plan.Node{out.node}}
+		n := &plan.Node{Op: plan.Top, Ann: &plan.Annotations{TopN: p.q.Limit}, Kids: [2]*plan.Node{out.node}}
 		c := p.annotate(n, cost.Args{RowsIn: out.rows, RowsOut: outRows}, out.width)
 		out = &refSubPlan{node: n, tables: out.tables, rows: outRows, width: out.width, cost: out.cost + c, hasCS: out.hasCS}
 	}
@@ -564,7 +564,7 @@ func (p *refPlanner) addOrdering(in *refSubPlan) *refSubPlan {
 
 func (p *refPlanner) parallelize(in *refSubPlan) *refSubPlan {
 	cloned, totalCost := p.cloneRecost(in.node, plan.Parallel)
-	ex := &plan.Node{Op: plan.Exchange, Par: plan.Parallel, Children: []*plan.Node{cloned}}
+	ex := &plan.Node{Op: plan.Exchange, Par: plan.Parallel, Kids: [2]*plan.Node{cloned}}
 	if cloned.Mode == plan.Batch {
 		ex.Mode = plan.Batch
 	}
@@ -580,11 +580,10 @@ func (p *refPlanner) cloneRecost(n *plan.Node, par plan.Parallelism) (*plan.Node
 	c := *n
 	c.Par = par
 	var total float64
-	if len(n.Children) > 0 {
-		c.Children = make([]*plan.Node, len(n.Children))
-		for i, ch := range n.Children {
+	if len(n.Children()) > 0 {
+		for i, ch := range n.Children() {
 			cc, sub := p.cloneRecost(ch, par)
-			c.Children[i] = cc
+			c.Kids[i] = cc
 			total += sub
 		}
 	}
@@ -837,7 +836,7 @@ func hasMultiTableMerge(n *plan.Node) bool {
 		if m.Op != plan.MergeJoin {
 			return
 		}
-		for _, c := range m.Children {
+		for _, c := range m.Children() {
 			c.Walk(func(d *plan.Node) {
 				if d.Op == plan.HashJoin || d.Op == plan.MergeJoin || d.Op == plan.NestedLoopJoin {
 					found = true

@@ -194,7 +194,7 @@ func (w *WhatIf) settle(sh *whatIfShard, key whatIfKey, c *whatIfCall) {
 // first plan without one; each bit it clears was set by a hit, so an insert
 // is O(1) amortized. A plan larger than budget is returned but not cached.
 func (sh *whatIfShard) insertLocked(key whatIfKey, p *plan.Plan, budget int) {
-	n, _, _ := countNodes(p.Root)
+	n, _ := countNodes(p.Root)
 	if n > budget {
 		return
 	}

@@ -203,7 +203,7 @@ func checkShards(w *WhatIf) error {
 		sh.mu.Lock()
 		var nodes, ring int
 		for _, e := range sh.plans {
-			n, _, _ := countNodes(e.p.Root)
+			n, _ := countNodes(e.p.Root)
 			nodes += n
 		}
 		for e := sh.hand; e != nil && ring <= len(sh.plans); {
@@ -231,7 +231,7 @@ func TestWhatIfClockOrder(t *testing.T) {
 	sized := func(n int) *plan.Plan { // a chain of n nodes
 		root := &plan.Node{}
 		for n--; n > 0; n-- {
-			root = &plan.Node{Children: []*plan.Node{root}}
+			root = &plan.Node{Kids: [2]*plan.Node{root}}
 		}
 		return &plan.Plan{Root: root}
 	}

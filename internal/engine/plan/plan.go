@@ -4,14 +4,17 @@
 // the paper's classifier is built on (§3.2).
 //
 // The what-if cache keeps every plan the tuner probes, so a Node holds
-// inline only what most operators carry: the operator key, children, table,
-// index definition, residual predicates, driving join and estimates. The
-// annotations only seeks, multi-predicate joins, sorts, aggregates and Top
-// carry (SeekPreds, ExtraJoins, SortCols, GroupCols, TopN) live in an
-// Annotations block that the few nodes carrying one point at, and the index
-// id is derived from the index definition rather than stored. A plan holds
-// only what the optimizer chose and estimated: what an execution measured
-// per operator is the executor's output, indexed by Walk's pre-order.
+// inline only what most operators carry: the operator key, table, index
+// definition, residual predicates, driving join, estimates and its
+// children. No operator has more than two inputs, so the children sit in
+// two inline slots (Kids) rather than in a slice over separate storage:
+// Children returns the filled prefix without allocating. The annotations
+// only seeks, multi-predicate joins, sorts, aggregates and Top carry
+// (SeekPreds, ExtraJoins, SortCols, GroupCols, TopN) live in an Annotations
+// block that the few nodes carrying one point at, and the index id is
+// derived from the index definition rather than stored. A plan holds only
+// what the optimizer chose and estimated: what an execution measured per
+// operator is the executor's output, indexed by Walk's pre-order.
 package plan
 
 import (
@@ -118,8 +121,9 @@ func KeyName(idx int) string {
 }
 
 // Node is one operator in a physical plan tree. Its fields are laid out
-// for size (128 bytes on 64-bit platforms): the one-byte operator key sits
-// beside Scratch, and the rare annotations live out of line in Ann.
+// for size (120 bytes on 64-bit platforms): the one-byte operator key sits
+// beside Scratch, the children in two inline slots, and the rare
+// annotations out of line in Ann.
 type Node struct {
 	Op   Op
 	Mode Mode
@@ -131,7 +135,10 @@ type Node struct {
 	// String and is zeroed on finished plans.
 	Scratch int32
 
-	Children []*Node
+	// Kids holds the node's inputs in order: a join fills both slots, a
+	// unary operator slot 0 and a leaf neither. Slot 1 is never filled
+	// while slot 0 is empty.
+	Kids [2]*Node
 
 	// Access-path annotations.
 	Table string // base table (scans, seeks, lookups)
@@ -229,26 +236,27 @@ func (n *Node) KeyName() string { return KeyName(n.Key()) }
 // EstBytesOut returns the estimated output size of the node in bytes.
 func (n *Node) EstBytesOut() float64 { return n.EstRows * n.EstRowWidth }
 
-// IsLeaf reports whether the node has no children.
-func (n *Node) IsLeaf() bool { return len(n.Children) == 0 }
-
-// Walk visits the subtree rooted at n in pre-order.
-func (n *Node) Walk(fn func(*Node)) {
-	fn(n)
-	for _, c := range n.Children {
-		c.Walk(fn)
+// Children returns the filled prefix of Kids, in order, as a slice of the
+// array, so it never allocates. It is nil for a leaf.
+func (n *Node) Children() []*Node {
+	switch {
+	case n.Kids[0] == nil:
+		return nil
+	case n.Kids[1] == nil:
+		return n.Kids[:1]
 	}
+	return n.Kids[:]
 }
 
-// Height returns the height of the node: leaves have height 1.
-func (n *Node) Height() int {
-	h := 0
-	for _, c := range n.Children {
-		if ch := c.Height(); ch > h {
-			h = ch
-		}
+// IsLeaf reports whether the node has no children.
+func (n *Node) IsLeaf() bool { return n.Kids[0] == nil }
+
+// Walk visits the subtree rooted at n in pre-order, child 0 before child 1.
+func (n *Node) Walk(fn func(*Node)) {
+	fn(n)
+	for _, c := range n.Children() {
+		c.Walk(fn)
 	}
-	return h + 1
 }
 
 // Plan is a complete physical plan for a query under some configuration.
@@ -291,7 +299,7 @@ func (p *Plan) Fingerprint() uint64 {
 			fmt.Fprintf(h, "g%s", c.String())
 		}
 		fmt.Fprintf(h, "t%d", n.TopN())
-		for _, c := range n.Children {
+		for _, c := range n.Children() {
 			visit(c)
 		}
 		h.Write([]byte{')'})
@@ -337,7 +345,7 @@ func (p *Plan) String() string {
 		}
 		fmt.Fprintf(&b, " [estRows=%.1f estCost=%.2f]", n.EstRows, n.EstCost)
 		b.WriteByte('\n')
-		for _, c := range n.Children {
+		for _, c := range n.Children() {
 			visit(c, depth+1)
 		}
 	}

@@ -14,10 +14,10 @@ func samplePlan() *Plan {
 	seek := &Node{Op: IndexSeek, Table: "orders", IndexDef: &catalog.Index{Table: "orders", KeyColumns: []string{"o_id"}},
 		Ann:     &Annotations{SeekPreds: []query.Pred{{Table: "orders", Column: "o_id", Lo: 1, Hi: 1}}},
 		EstRows: 10, EstRowWidth: 8, EstCost: 1}
-	join := &Node{Op: HashJoin, Children: []*Node{scan, seek},
+	join := &Node{Op: HashJoin, Kids: [2]*Node{scan, seek},
 		Join:    &query.Join{LeftTable: "lineitem", LeftColumn: "l_oid", RightTable: "orders", RightColumn: "o_id"},
 		EstRows: 100, EstRowWidth: 16, EstCost: 20}
-	agg := &Node{Op: HashAggregate, Children: []*Node{join}, EstRows: 5, EstRowWidth: 16, EstCost: 3,
+	agg := &Node{Op: HashAggregate, Kids: [2]*Node{join}, EstRows: 5, EstRowWidth: 16, EstCost: 3,
 		Ann: &Annotations{GroupCols: []query.ColRef{{Table: "orders", Column: "o_id"}}}}
 	return &Plan{
 		Root:         agg,
@@ -68,13 +68,10 @@ func TestNodeHelpers(t *testing.T) {
 	if p.Root.IsLeaf() {
 		t.Fatal("root is not a leaf")
 	}
-	if !p.Root.Children[0].Children[0].IsLeaf() {
+	if !p.Root.Kids[0].Kids[0].IsLeaf() {
 		t.Fatal("scan is a leaf")
 	}
-	if h := p.Root.Height(); h != 3 {
-		t.Fatalf("height = %d, want 3", h)
-	}
-	join := p.Root.Children[0]
+	join := p.Root.Kids[0]
 	if join.EstBytesOut() != 1600 {
 		t.Fatalf("EstBytesOut: %v", join.EstBytesOut())
 	}
@@ -91,6 +88,30 @@ func TestNodeHelpers(t *testing.T) {
 	}
 }
 
+// TestChildren checks that Children is the filled prefix of the two slots,
+// in order, aliases them rather than copying, and allocates nothing.
+func TestChildren(t *testing.T) {
+	p := samplePlan()
+	agg, join := p.Root, p.Root.Kids[0]
+	scan, seek := join.Kids[0], join.Kids[1]
+	if c := scan.Children(); c != nil {
+		t.Fatalf("leaf children = %v, want nil", c)
+	}
+	if c := agg.Children(); len(c) != 1 || c[0] != join {
+		t.Fatalf("unary children = %v, want [join]", c)
+	}
+	if c := join.Children(); len(c) != 2 || c[0] != scan || c[1] != seek {
+		t.Fatalf("join children = %v, want [scan seek]", c)
+	}
+	join.Children()[1] = scan
+	if join.Kids[1] != scan {
+		t.Fatal("Children must alias the node's slots")
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = join.Children() }); n != 0 {
+		t.Fatalf("Children allocates %v times, want 0", n)
+	}
+}
+
 func TestFingerprintStability(t *testing.T) {
 	a, b := samplePlan(), samplePlan()
 	if a.Fingerprint() != b.Fingerprint() {
@@ -104,27 +125,27 @@ func TestFingerprintStability(t *testing.T) {
 	}
 	// Structure does.
 	c := samplePlan()
-	c.Root.Children[0].Op = MergeJoin
+	c.Root.Kids[0].Op = MergeJoin
 	if a.Fingerprint() == c.Fingerprint() {
 		t.Fatal("different join algorithm must change fingerprint")
 	}
 	// Index choice does.
 	d := samplePlan()
-	d.Root.Children[0].Children[1].IndexDef = &catalog.Index{Table: "orders", KeyColumns: []string{"o_date"}}
+	d.Root.Kids[0].Kids[1].IndexDef = &catalog.Index{Table: "orders", KeyColumns: []string{"o_date"}}
 	if a.Fingerprint() == d.Fingerprint() {
 		t.Fatal("different index must change fingerprint")
 	}
 	// Predicate constants do (different parameterizations are distinct plans).
 	e := samplePlan()
-	e.Root.Children[0].Children[1].Ann.SeekPreds[0].Lo = 2
-	e.Root.Children[0].Children[1].Ann.SeekPreds[0].Hi = 2
+	e.Root.Kids[0].Kids[1].Ann.SeekPreds[0].Lo = 2
+	e.Root.Kids[0].Kids[1].Ann.SeekPreds[0].Hi = 2
 	if a.Fingerprint() == e.Fingerprint() {
 		t.Fatal("different constants must change fingerprint")
 	}
 	// Child order does (join sides are not symmetric).
 	f := samplePlan()
-	j := f.Root.Children[0]
-	j.Children[0], j.Children[1] = j.Children[1], j.Children[0]
+	j := f.Root.Kids[0]
+	j.Kids[0], j.Kids[1] = j.Kids[1], j.Kids[0]
 	if a.Fingerprint() == f.Fingerprint() {
 		t.Fatal("swapped children must change fingerprint")
 	}
@@ -149,8 +170,8 @@ func TestPlanString(t *testing.T) {
 // of a node without an annotation block.
 func TestNodeLayout(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) == 8 {
-		if got := unsafe.Sizeof(Node{}); got != 128 {
-			t.Fatalf("plan.Node is %d bytes, want 128", got)
+		if got := unsafe.Sizeof(Node{}); got != 120 {
+			t.Fatalf("plan.Node is %d bytes, want 120", got)
 		}
 		if got := unsafe.Sizeof(Annotations{}); got != 104 {
 			t.Fatalf("plan.Annotations is %d bytes, want 104", got)
@@ -163,7 +184,7 @@ func TestNodeLayout(t *testing.T) {
 	if !(&Annotations{}).Empty() || (&Annotations{TopN: 1}).Empty() {
 		t.Fatal("Empty must hold exactly for a block that carries nothing")
 	}
-	seek := samplePlan().Root.Children[0].Children[1]
+	seek := samplePlan().Root.Kids[0].Kids[1]
 	if seek.Index() != "orders/bt(o_id)" || seek.Index() != seek.IndexDef.ID() {
 		t.Fatalf("Index() = %q, want the definition's id", seek.Index())
 	}

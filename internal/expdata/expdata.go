@@ -137,20 +137,13 @@ type CollectOpts struct {
 	// MaxConfigsPerQuery bounds the hypothetical configurations probed per
 	// query per initial configuration (default 14).
 	MaxConfigsPerQuery int
-	// MaxSubsetSize bounds candidate-index subset size (default 3).
-	MaxSubsetSize int
 	// ExecRepeats is the number of executions whose median labels a plan
 	// (default 3).
 	ExecRepeats int
-	// InitialConfigs are the starting configurations to explore from; nil
-	// defaults to {none, per-table B+ tree key indexes, columnstore}.
-	InitialConfigs []*catalog.Configuration
 	// ProductionMode emulates the Appendix A.1 telemetry setting:
 	// passively observed executions under concurrency (higher measurement
 	// noise), fewer configurations, single executions.
 	ProductionMode bool
-	// MaxPairsPerQuery bounds ordered pairs emitted per query (default 60).
-	MaxPairsPerQuery int
 	// StatsSampleSize/StatsBuckets configure optimizer statistics.
 	StatsSampleSize int
 	StatsBuckets    int
@@ -160,14 +153,8 @@ func (o CollectOpts) withDefaults() CollectOpts {
 	if o.MaxConfigsPerQuery == 0 {
 		o.MaxConfigsPerQuery = 14
 	}
-	if o.MaxSubsetSize == 0 {
-		o.MaxSubsetSize = 3
-	}
 	if o.ExecRepeats == 0 {
 		o.ExecRepeats = 3
-	}
-	if o.MaxPairsPerQuery == 0 {
-		o.MaxPairsPerQuery = 60
 	}
 	if o.StatsSampleSize == 0 {
 		// Real optimizers sample a tiny fraction of large tables; a small
@@ -227,13 +214,11 @@ func Collect(w *workload.Workload, o CollectOpts) (*Dataset, error) {
 		ex.NoiseSigma = 0.25 // concurrent production executions are noisier
 	}
 
-	initials := o.InitialConfigs
-	if initials == nil {
-		initials = []*catalog.Configuration{
-			InitialNone(),
-			InitialBTree(w.Schema),
-			InitialColumnstore(w.Schema, 1000),
-		}
+	// Explore from no index, per-table B+ tree key indexes and columnstores.
+	initials := []*catalog.Configuration{
+		InitialNone(),
+		InitialBTree(w.Schema),
+		InitialColumnstore(w.Schema, 1000),
 	}
 
 	out := &Dataset{DB: w.Name, byQuery: map[string][]*ExecutedPlan{}}
@@ -283,12 +268,9 @@ func enumerateConfigs(init *catalog.Configuration, cands []*catalog.Index, o Col
 			return out
 		}
 	}
-	// Random subsets of size 2..MaxSubsetSize.
+	// Random subsets of 2 or 3 candidates.
 	for attempts := 0; len(out) < o.MaxConfigsPerQuery && attempts < 4*o.MaxConfigsPerQuery; attempts++ {
-		size := 2
-		if o.MaxSubsetSize > 2 {
-			size += rng.Intn(o.MaxSubsetSize - 1)
-		}
+		size := 2 + rng.Intn(2)
 		if size > len(cands) {
 			break
 		}

@@ -119,7 +119,7 @@ func leafWeighted(root *plan.Node, v []float64, leafW func(*plan.Node) float64) 
 			return wh{weight: w, height: 1}
 		}
 		var sumW, value, maxH float64
-		for _, c := range n.Children {
+		for _, c := range n.Children() {
 			cw := visit(c)
 			sumW += cw.weight
 			value += cw.weight * cw.height

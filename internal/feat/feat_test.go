@@ -12,8 +12,8 @@ import (
 func twoJoinPlan(scanRows, seekRows float64) *plan.Plan {
 	scan := &plan.Node{Op: plan.TableScan, Table: "a", EstRows: scanRows, EstRowWidth: 8, EstCost: scanRows, EstBytesProcessed: scanRows * 8}
 	seek := &plan.Node{Op: plan.IndexSeek, Table: "b", EstRows: seekRows, EstRowWidth: 8, EstCost: seekRows / 10, EstBytesProcessed: seekRows * 8}
-	join := &plan.Node{Op: plan.HashJoin, Children: []*plan.Node{scan, seek}, EstRows: scanRows / 2, EstRowWidth: 16, EstCost: scanRows / 4, EstBytesProcessed: (scanRows + seekRows) * 8}
-	agg := &plan.Node{Op: plan.HashAggregate, Children: []*plan.Node{join}, EstRows: 10, EstRowWidth: 16, EstCost: 5, EstBytesProcessed: scanRows * 8}
+	join := &plan.Node{Op: plan.HashJoin, Kids: [2]*plan.Node{scan, seek}, EstRows: scanRows / 2, EstRowWidth: 16, EstCost: scanRows / 4, EstBytesProcessed: (scanRows + seekRows) * 8}
+	agg := &plan.Node{Op: plan.HashAggregate, Kids: [2]*plan.Node{join}, EstRows: 10, EstRowWidth: 16, EstCost: 5, EstBytesProcessed: scanRows * 8}
 	return &plan.Plan{Root: agg, Query: &query.Query{Name: "q"}, EstTotalCost: scanRows + seekRows/10 + scanRows/4 + 5}
 }
 
@@ -28,7 +28,7 @@ func TestPlanVectorSumsByKey(t *testing.T) {
 	}
 	// Two operators with the same key sum.
 	p2 := twoJoinPlan(1000, 100)
-	p2.Root.Children[0].Children[1] = &plan.Node{Op: plan.TableScan, Table: "b", EstRows: 50, EstCost: 70}
+	p2.Root.Kids[0].Kids[1] = &plan.Node{Op: plan.TableScan, Table: "b", EstRows: 50, EstCost: 70}
 	v2 := PlanVector(p2, EstNodeCost)
 	if got := v2[plan.KeyIndex(plan.TableScan, plan.Row, plan.Serial)]; got != 1070 {
 		t.Fatalf("same-key sum: %v", got)
@@ -70,7 +70,7 @@ func TestLeafWeightedEncodesStructure(t *testing.T) {
 		return &plan.Node{Op: plan.TableScan, Table: table, EstRows: rows, EstRowWidth: 8}
 	}
 	join := func(l, r *plan.Node) *plan.Node {
-		return &plan.Node{Op: plan.HashJoin, Children: []*plan.Node{l, r}, EstRows: 10, EstRowWidth: 16}
+		return &plan.Node{Op: plan.HashJoin, Kids: [2]*plan.Node{l, r}, EstRows: 10, EstRowWidth: 16}
 	}
 	left := &plan.Plan{Root: join(join(leaf("a", 100), leaf("b", 200)), leaf("c", 300)), Query: &query.Query{}}
 	right := &plan.Plan{Root: join(leaf("a", 100), join(leaf("b", 200), leaf("c", 300))), Query: &query.Query{}}
@@ -140,7 +140,7 @@ func TestPairDiffRatioClipping(t *testing.T) {
 	p1 := twoJoinPlan(1000, 100)
 	p2 := twoJoinPlan(1000, 100)
 	// Give p2 an operator whose key is zero in p1 -> division by zero.
-	p2.Root.Children[0].Op = plan.MergeJoin
+	p2.Root.Kids[0].Op = plan.MergeJoin
 	f := &Featurizer{Channels: []Channel{EstNodeCost}, Transform: PairDiffRatio}
 	v := f.Pair(p1, p2)
 	clipped := false

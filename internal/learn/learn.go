@@ -43,17 +43,27 @@ const (
 	defaultTrees               = 60
 	defaultWindow              = 5000
 	defaultMaxPairsPerTemplate = 60
-	defaultEvalFrac            = 0.3
 	defaultMinRecords          = 12
 	defaultMinTrainPairs       = 20
 	defaultMinEvalPairs        = 10
 	defaultMinAccuracy         = 0.55
-	defaultPromoteMargin       = 0.01
-	defaultRollbackMargin      = 0.10
 	defaultRollbackMinPairs    = 12
 	defaultDriftThreshold      = 3.0
 	defaultRecordThreshold     = 64
 	defaultEmbedDriftThreshold = 0.10
+)
+
+// Fixed settings of every cycle.
+const (
+	// evalFrac is the fraction of labeled pairs held out for shadow
+	// evaluation, assigned whole template groups at a time.
+	evalFrac = 0.3
+	// promoteMargin is how much shadow-eval accuracy the challenger must
+	// add over the champion to be promoted.
+	promoteMargin = 0.01
+	// rollbackMargin is how far live accuracy may trail the promoted
+	// challenger's shadow accuracy before the prior version is restored.
+	rollbackMargin = 0.10
 )
 
 // Drift-detector modes (Options.DriftMode): the hand-built per-channel
@@ -87,9 +97,6 @@ type Options struct {
 	// MaxPairsPerTemplate caps labeled pairs emitted per (db, query) group.
 	MaxPairsPerTemplate int
 
-	// EvalFrac is the fraction of labeled pairs held out for shadow
-	// evaluation, assigned whole template groups at a time.
-	EvalFrac float64
 	// MinRecords is the minimum compacted record count to attempt training.
 	MinRecords int
 	// MinTrainPairs / MinEvalPairs are the minimum split sizes; below them
@@ -101,13 +108,7 @@ type Options struct {
 	// must reach, champion or not. A champion whose accuracy on fresh
 	// labeled pairs falls below it triggers a retrain.
 	MinAccuracy float64
-	// PromoteMargin is how much shadow-eval accuracy the challenger must
-	// add over the champion to be promoted.
-	PromoteMargin float64
 
-	// RollbackMargin is how far live accuracy may trail the promoted
-	// challenger's shadow accuracy before the prior version is restored.
-	RollbackMargin float64
 	// RollbackMinPairs is the minimum number of post-promotion labeled
 	// pairs before the live check runs (too few pairs would make rollback
 	// decisions noise-driven).
@@ -152,9 +153,6 @@ func (o Options) withDefaults() Options {
 	if o.MaxPairsPerTemplate <= 0 {
 		o.MaxPairsPerTemplate = defaultMaxPairsPerTemplate
 	}
-	if o.EvalFrac <= 0 || o.EvalFrac >= 1 {
-		o.EvalFrac = defaultEvalFrac
-	}
 	if o.MinRecords <= 0 {
 		o.MinRecords = defaultMinRecords
 	}
@@ -166,12 +164,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MinAccuracy <= 0 {
 		o.MinAccuracy = defaultMinAccuracy
-	}
-	if o.PromoteMargin <= 0 {
-		o.PromoteMargin = defaultPromoteMargin
-	}
-	if o.RollbackMargin <= 0 {
-		o.RollbackMargin = defaultRollbackMargin
 	}
 	if o.RollbackMinPairs <= 0 {
 		o.RollbackMinPairs = defaultRollbackMinPairs

@@ -505,7 +505,7 @@ func (l *Loop) liveCheck(rep *CycleReport, recs []expdata.PlanRecord, total int6
 	live := evalVectors(active.Value, set.X, set.Y)
 	rep.Live = live
 	mLiveAcc.Set(live.Accuracy)
-	if live.Accuracy < mon.ShadowAccuracy-l.opts.RollbackMargin {
+	if live.Accuracy < mon.ShadowAccuracy-rollbackMargin {
 		if err := l.reg.Models.Activate(mon.PriorVersion); err != nil {
 			rep.Decision = DecisionRejected
 			rep.Reason = fmt.Sprintf("rollback of v%d failed: %v", mon.PromotedVersion, err)
@@ -513,7 +513,7 @@ func (l *Loop) liveCheck(rep *CycleReport, recs []expdata.PlanRecord, total int6
 		}
 		rep.Decision = DecisionRolledBack
 		rep.Reason = fmt.Sprintf("v%d live accuracy %.3f fell more than %.2f below its shadow accuracy %.3f; restored v%d",
-			mon.PromotedVersion, live.Accuracy, l.opts.RollbackMargin, mon.ShadowAccuracy, mon.PriorVersion)
+			mon.PromotedVersion, live.Accuracy, rollbackMargin, mon.ShadowAccuracy, mon.PriorVersion)
 		mRollbacks.Inc()
 		l.mu.Lock()
 		l.monitor = nil
@@ -573,7 +573,7 @@ func challenge(ctx context.Context, rep *CycleReport, set *LabeledSet, champion 
 		return end(DecisionSkipped, "cancelled: "+err.Error())
 	}
 	rng := util.NewRNG(seed).Split("learn")
-	trainIdx, evalIdx, err := splitByTemplate(set, o.EvalFrac, rng.Split("split"))
+	trainIdx, evalIdx, err := splitByTemplate(set, evalFrac, rng.Split("split"))
 	if err != nil {
 		return end(DecisionRejected, err.Error())
 	}
@@ -626,12 +626,12 @@ func challenge(ctx context.Context, rep *CycleReport, set *LabeledSet, champion 
 	case !championComparable:
 		rep.Reason = fmt.Sprintf("champion featurization incomparable; challenger accuracy %.3f meets floor %.2f",
 			challenger.Accuracy, o.MinAccuracy)
-	case challenger.Accuracy >= champ.Accuracy+o.PromoteMargin:
+	case challenger.Accuracy >= champ.Accuracy+promoteMargin:
 		rep.Reason = fmt.Sprintf("challenger %.3f beats champion %.3f by ≥ %.2f on %d held-out pairs",
-			challenger.Accuracy, champ.Accuracy, o.PromoteMargin, len(evalX))
+			challenger.Accuracy, champ.Accuracy, promoteMargin, len(evalX))
 	default:
 		return end(DecisionRejected, fmt.Sprintf("challenger %.3f does not beat champion %.3f by margin %.2f",
-			challenger.Accuracy, champ.Accuracy, o.PromoteMargin))
+			challenger.Accuracy, champ.Accuracy, promoteMargin))
 	}
 	return clf
 }

@@ -40,7 +40,6 @@ func testLoopOptions(seed int64) Options {
 		Seed:             seed,
 		Trees:            15,
 		Window:           20,
-		EvalFrac:         0.3,
 		MinRecords:       10,
 		MinTrainPairs:    8,
 		MinEvalPairs:     4,

@@ -168,11 +168,6 @@ func (c *Classifier) CompareBatch(pairs []PlanPair, out []expdata.Label) []expda
 	return out
 }
 
-// Uncertainty returns 1 − max class probability for a pair.
-func (c *Classifier) Uncertainty(p1, p2 *plan.Plan) float64 {
-	return ml.Uncertainty(c.PredictProba(p1, p2))
-}
-
 // EvaluateF1 scores a comparator on test pairs, returning the F1 of the
 // given class (the paper reports the regression class, §7.1).
 func EvaluateF1(c Comparator, pairs []expdata.Pair, alpha float64, class expdata.Label) float64 {

@@ -18,7 +18,7 @@ import (
 func scanPlan(scanRows, seekRows float64) *plan.Plan {
 	scan := &plan.Node{Op: plan.TableScan, Table: "a", EstRows: scanRows, EstRowWidth: 8, EstCost: scanRows, EstBytesProcessed: scanRows * 8}
 	seek := &plan.Node{Op: plan.IndexSeek, Table: "b", EstRows: seekRows, EstRowWidth: 8, EstCost: seekRows / 10, EstBytesProcessed: seekRows * 8}
-	join := &plan.Node{Op: plan.HashJoin, Children: []*plan.Node{scan, seek}, EstRows: scanRows / 2, EstRowWidth: 16, EstCost: scanRows / 4, EstBytesProcessed: (scanRows + seekRows) * 8}
+	join := &plan.Node{Op: plan.HashJoin, Kids: [2]*plan.Node{scan, seek}, EstRows: scanRows / 2, EstRowWidth: 16, EstCost: scanRows / 4, EstBytesProcessed: (scanRows + seekRows) * 8}
 	return &plan.Plan{Root: join, Query: &query.Query{Name: "q"}, EstTotalCost: scanRows + seekRows/10 + scanRows/4}
 }
 

@@ -80,10 +80,6 @@ func TestClassifierCompareAndProba(t *testing.T) {
 	if sum < 0.999 || sum > 1.001 {
 		t.Fatalf("proba sum %v", sum)
 	}
-	u := clf.Uncertainty(p.P1.Plan, p.P2.Plan)
-	if u < 0 || u > 1 {
-		t.Fatalf("uncertainty %v", u)
-	}
 }
 
 func TestClassifierRejectsEmptyTraining(t *testing.T) {

@@ -82,7 +82,7 @@ func NewOperatorRegressor(newModel func() ml.Regressor, alpha float64) *Operator
 // bytes processed, output bytes, node cost, child rows, and fan-in.
 func nodeFeatures(n *plan.Node) []float64 {
 	var childRows float64
-	for _, c := range n.Children {
+	for _, c := range n.Children() {
 		childRows += c.EstRows
 	}
 	return []float64{
@@ -91,7 +91,7 @@ func nodeFeatures(n *plan.Node) []float64 {
 		n.EstBytesOut(),
 		n.EstCost,
 		childRows,
-		float64(len(n.Children)),
+		float64(len(n.Children())),
 		float64(n.Mode),
 		float64(n.Par),
 	}

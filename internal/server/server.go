@@ -131,7 +131,6 @@ type Server struct {
 	reqPrefix string
 
 	httpSrv *http.Server
-	addr    string
 }
 
 // New validates cfg and assembles the service (default tenant materialized,
@@ -331,12 +330,8 @@ func (s *Server) Start(addr string) (string, error) {
 	}
 	s.httpSrv = &http.Server{Handler: s.handler, ReadHeaderTimeout: 10 * time.Second}
 	go func() { _ = s.httpSrv.Serve(ln) }()
-	s.addr = ln.Addr().String()
-	return s.addr, nil
+	return ln.Addr().String(), nil
 }
-
-// Addr returns the bound address after Start.
-func (s *Server) Addr() string { return s.addr }
 
 // TenantStats reports per-tenant serving-plane state for the shutdown
 // summary and tests: materialized tenant IDs and queue depths.

@@ -78,7 +78,6 @@ func embedLearnOpts(seed int64) learn.Options {
 		Seed:             seed,
 		Trees:            15,
 		Window:           20,
-		EvalFrac:         0.3,
 		MinRecords:       10,
 		MinTrainPairs:    8,
 		MinEvalPairs:     4,

@@ -4,7 +4,11 @@
 // repository, outside its own declaration. bench/, cmd/, examples/ and
 // scripts/ count as callers; aimai/ is the public API, so its names are
 // never listed. The scan is by name, so a method that only satisfies an
-// interface (heap.Interface's Less, say) is listed too.
+// interface (heap.Interface's Less, say) is listed too. The same blind spot
+// cuts the other way: an uncalled name that any other identifier shares
+// counts as called (an uncalled Server.Addr passes while net.Listener's Addr
+// is used, and so did Classifier.Uncertainty beside ml.Uncertainty), so a
+// pass does not prove every exported name has a caller.
 //
 // A listed name passes only when the allowlist names it with a reason, one
 // per line ("btree.Tree.Seek  reason"); a name reads pkg.Func or

@@ -1,6 +1,8 @@
 // Command goldencheck prints a deterministic fingerprint of optimizer and
 // executor behaviour: for a fixed workload and a fixed suite of index
-// configurations it emits each plan's fingerprint, estimated cost, and the
+// configurations it emits each plan's fingerprint, estimated cost, an FNV-64
+// of its rendering (Plan.String, the /v1/plan body's text) and one of the
+// bits of its default feature vector (the classifier's input), and the
 // executor's WorkCost/MeasuredCost as exact hex floats, plus one
 // TuneWorkload recommendation. Run it before and after a performance change
 // and diff the output — any byte difference means plan selection or cost
@@ -14,20 +16,40 @@ package main
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
+	"math"
 	"strconv"
 
 	"repro/internal/engine/catalog"
 	"repro/internal/engine/exec"
 	"repro/internal/engine/opt"
+	"repro/internal/engine/plan"
 	"repro/internal/engine/query"
 	"repro/internal/engine/stats"
+	"repro/internal/feat"
 	"repro/internal/tuner"
 	"repro/internal/util"
 	"repro/internal/workload"
 )
 
 func hexf(v float64) string { return strconv.FormatFloat(v, 'x', -1, 64) }
+
+// planHashes returns FNV-64a hashes of p's rendering and of the bits of its
+// default feature vector.
+func planHashes(p *plan.Plan) (str, vec uint64) {
+	h := fnv.New64a()
+	h.Write([]byte(p.String()))
+	str = h.Sum64()
+	h.Reset()
+	var b [8]byte
+	for _, v := range feat.Default().Plan(p) {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		h.Write(b[:])
+	}
+	return str, h.Sum64()
+}
 
 // configsFor derives a deterministic suite of configurations from the
 // query's own shape: single-column indexes on predicate columns, a covering
@@ -94,13 +116,14 @@ func main() {
 				fmt.Printf("q%d c%d plan-err %v\n", qi, ci, err)
 				continue
 			}
+			str, vec := planHashes(p)
 			r, err := ex.Execute(p, util.NewRNG(int64(qi*100+ci)))
 			if err != nil {
-				fmt.Printf("q%d c%d fp=%d est=%s exec-err %v\n", qi, ci, p.Fingerprint(), hexf(p.EstTotalCost), err)
+				fmt.Printf("q%d c%d fp=%d est=%s str=%d feat=%d exec-err %v\n", qi, ci, p.Fingerprint(), hexf(p.EstTotalCost), str, vec, err)
 				continue
 			}
-			fmt.Printf("q%d c%d fp=%d est=%s work=%s meas=%s rows=%d\n",
-				qi, ci, p.Fingerprint(), hexf(p.EstTotalCost), hexf(r.WorkCost), hexf(r.MeasuredCost), len(r.Rows))
+			fmt.Printf("q%d c%d fp=%d est=%s str=%d feat=%d work=%s meas=%s rows=%d\n",
+				qi, ci, p.Fingerprint(), hexf(p.EstTotalCost), str, vec, hexf(r.WorkCost), hexf(r.MeasuredCost), len(r.Rows))
 		}
 	}
 
